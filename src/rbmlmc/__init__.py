@@ -5,22 +5,17 @@ multilevel estimators with classical, bit, and pairwise-independent
 (Bakhvalov) randomness, exact enumeration oracles, and a cost ledger.
 """
 
-from .bitsource import BitSource, DyadicValue
+from .bitsource import BitSource
 from .errors import FeasibilityError
 from .ledger import CostLedger
 from .qnormal import (exact_grid_moments, normal_cdf, normal_quantile,
-                      quantize_normal, round_dyadic, sample_quantized_normal)
+                      quantize_normal)
 from .sde import SDEProblem, preset
-from .euler import (CoupledPaths, Path, bit_increments, classical_increments,
-                    coupled_bit_pair, coupled_classical_pair, euler_classical,
-                    sup_distance)
-from .functionals import Functional, eval_with_cost, preset_functional
-from .bakhvalov import (PairwiseFamily, exact_pairwise_check,
-                        find_nonuniform_triple, pairwise_logarithmic,
-                        pairwise_quadratic)
+from .euler import bit_increments, classical_increments
+from .functionals import Functional, preset_functional
+from .bakhvalov import exact_pairwise_check, find_nonuniform_triple
 from .mlmc import (MLMCParams, MLMCReport, bitcount_bound_check,
-                   params_for_eps, run, run_bbit, run_bbit_log, run_bit,
-                   run_classical)
+                   params_for_eps, run)
 from .oracle import (coarse_distribution_mismatch, exact_expectation_bit_euler,
                      exact_level_difference)
 

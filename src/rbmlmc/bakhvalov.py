@@ -19,100 +19,42 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitsource import BitSource
-from .errors import FeasibilityError
-
-_CHECK_BIT_CAP = 24
-_LOG_N_CAP = 24
-
-
-@dataclass(frozen=True)
-class PairwiseFamily:
-    q: int
-    d: int
-    count: int
-    generators_used: int
-    numerators: np.ndarray  # shape (count, d), int64 in [0, 2^q)
-
-    @property
-    def values(self) -> np.ndarray:
-        return (self.numerators + 0.5) / 2.0 ** self.q
-
-
-def pairwise_quadratic(src: BitSource, n: int, q: int,
-                       d: int = 1) -> PairwiseFamily:
-    """n^2 pairwise-independent dyadic uniforms from 2n generator draws."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = src.draw_dyadic_numerators(q, (2 * n, d))
-    out = quadratic_outputs(g[:n], g[n:], q)
-    return PairwiseFamily(q=q, d=d, count=n * n, generators_used=2 * n,
-                          numerators=out)
+from .bitsource import enumerate_numerators
 
 
 def quadratic_outputs(g_left: np.ndarray, g_right: np.ndarray,
                       q: int) -> np.ndarray:
-    """Combine generator numerators (n, d) x (n, d) -> (n^2, d), index
-    (j1-1)*n + j2 running over j1 major, j2 minor."""
-    n = g_left.shape[0]
-    out = (g_left[:, None, :] + g_right[None, :, :] + 1) % (1 << q)
-    return out.reshape(n * n, -1)
-
-
-def pairwise_logarithmic(src: BitSource, n: int, q: int,
-                         d: int = 1) -> PairwiseFamily:
-    """2^n pairwise-independent dyadic uniforms from 2n generator draws."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _LOG_N_CAP:
-        raise FeasibilityError(f"output count 2^{n} exceeds cap 2^{_LOG_N_CAP}")
-    g = src.draw_dyadic_numerators(q, (2, n, d))
-    return PairwiseFamily(q=q, d=d, count=1 << n, generators_used=2 * n,
-                          numerators=logarithmic_outputs(g, q))
+    """Combine generator numerators (..., n, d) x (..., n, d) -> (..., n^2, d),
+    index (j1-1)*n + j2 running over j1 major, j2 minor."""
+    n = g_left.shape[-2]
+    out = (g_left[..., :, None, :] + g_right[..., None, :, :] + 1) % (1 << q)
+    return out.reshape(out.shape[:-3] + (n * n, -1))
 
 
 def logarithmic_outputs(g: np.ndarray, q: int) -> np.ndarray:
-    """Combine generator numerators (2, n, d) -> (2^n, d); output index i
-    selects generator row bit_j(i) in slot j (bit 0 = slot 0)."""
-    _, n, d = g.shape
+    """Combine generator numerators (..., 2, n, d) -> (..., 2^n, d); output
+    index i selects generator row bit_j(i) in slot j (bit 0 = slot 0)."""
+    n = g.shape[-2]
     idx = np.arange(1 << n, dtype=np.int64)
     choice = (idx[:, None] >> np.arange(n)) & 1  # (2^n, n)
-    picked = np.where(choice[:, :, None] == 0, g[0][None], g[1][None])
-    return (picked.sum(axis=1) + n - 1) % (1 << q)
-
-
-def _enumerate_generators(n_gen: int, q: int) -> np.ndarray:
-    """All 2^(n_gen*q) generator realizations as numerators (R, n_gen).
-
-    Generator j's bits occupy the j-th q-bit field of the realization code,
-    most significant field first, matching the draw order of a BitSource.
-    """
-    total_bits = n_gen * q
-    if total_bits > _CHECK_BIT_CAP:
-        raise FeasibilityError(
-            f"enumeration of {n_gen}*{q} = {total_bits} bits exceeds cap "
-            f"{_CHECK_BIT_CAP}")
-    codes = np.arange(1 << total_bits, dtype=np.int64)
-    shifts = total_bits - q * np.arange(1, n_gen + 1)
-    return (codes[:, None] >> shifts[None, :]) & ((1 << q) - 1)
+    picked = np.where(choice[:, :, None] == 0, g[..., 0, None, :, :],
+                      g[..., 1, None, :, :])
+    return (picked.sum(axis=-2) + n - 1) % (1 << q)
 
 
 def _all_outputs(n: int, q: int, variant: str) -> np.ndarray:
-    """Outputs (R, count) over every generator realization, d = 1."""
+    """Outputs (R, count) over every generator realization, d = 1.
+
+    Realization r draws its 2n generators from the bit string r, in the
+    order a BitSource draws them: the first n (the quadratic left factor,
+    the logarithmic row 0), then the next n.
+    """
+    if variant not in ("quadratic", "logarithmic"):
+        raise ValueError(f"unknown variant {variant!r}")
+    g = enumerate_numerators(2 * n, q)[:, :, None]
     if variant == "quadratic":
-        g = _enumerate_generators(2 * n, q)
-        left = g[:, :n]
-        right = g[:, n:]
-        return ((left[:, :, None] + right[:, None, :] + 1) % (1 << q)
-                ).reshape(g.shape[0], n * n)
-    if variant == "logarithmic":
-        g = _enumerate_generators(2 * n, q).reshape(-1, 2, n)
-        idx = np.arange(1 << n, dtype=np.int64)
-        choice = ((idx[:, None] >> np.arange(n)) & 1)  # (2^n, n)
-        picked = np.where(choice[None, :, :] == 0, g[:, 0, None, :],
-                          g[:, 1, None, :])
-        return (picked.sum(axis=2) + n - 1) % (1 << q)
-    raise ValueError(f"unknown variant {variant!r}")
+        return quadratic_outputs(g[:, :n], g[:, n:], q)[:, :, 0]
+    return logarithmic_outputs(g.reshape(-1, 2, n, 1), q)[:, :, 0]
 
 
 @dataclass(frozen=True)

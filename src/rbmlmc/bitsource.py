@@ -8,14 +8,17 @@ chunked, and distinct stream_ids give independent-looking substreams.
 Dyadic uniforms live on the grid of cell midpoints
 {sum_i b_i 2^-i + 2^-(q+1) : b_i in {0,1}}, i.e. (numerator + 1/2) / 2^q
 with numerator assembled most-significant-bit first from q fresh bits.
+enumerate_numerators applies the same reading to every bit string at once,
+which is the ground truth of the exact enumeration checks.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FeasibilityError
+
+ENUMERATION_BIT_CAP = 24
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _mix64(z):
@@ -25,25 +28,6 @@ def _mix64(z):
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-
-@dataclass(frozen=True)
-class DyadicValue:
-    """Midpoint numerator/2^q + 2^-(q+1) of a dyadic cell of width 2^-q."""
-
-    q: int
-    numerator: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if not 0 <= self.numerator < 2 ** self.q:
-            raise ValueError(
-                f"numerator {self.numerator} out of range [0, 2^{self.q})")
-
-    @property
-    def value(self) -> float:
-        return (self.numerator + 0.5) / 2.0 ** self.q
 
 
 class BitSource:
@@ -57,10 +41,6 @@ class BitSource:
             k = _mix64(np.uint64(self.seed))
             k = _mix64((k + _GOLDEN) ^ _mix64(np.uint64(self.stream_id) + _GOLDEN))
         self._key = k
-
-    def split(self, stream_id: int) -> "BitSource":
-        """Fresh source on a different substream of the same seed."""
-        return BitSource(self.seed, stream_id)
 
     def _blocks(self, first: int, count: int) -> np.ndarray:
         idx = np.arange(first, first + count, dtype=np.uint64)
@@ -82,10 +62,6 @@ class BitSource:
         self.bits_consumed += n
         return bits[off:off + n]
 
-    def draw_bit(self) -> int:
-        """Next single bit in {0, 1}."""
-        return int(self.draw_bits(1)[0])
-
     def draw_dyadic_numerators(self, q: int, shape) -> np.ndarray:
         """Array of independent q-bit numerators; consumes q*prod(shape) bits."""
         if q < 1:
@@ -100,9 +76,20 @@ class BitSource:
         """Array of independent dyadic uniforms in (0,1) at depth q."""
         return (self.draw_dyadic_numerators(q, shape) + 0.5) / 2.0 ** q
 
-    def draw_dyadic_uniform(self, q: int, d: int) -> list[DyadicValue]:
-        """d independent dyadic uniforms at depth q; consumes d*q bits."""
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        nums = self.draw_dyadic_numerators(q, (d,))
-        return [DyadicValue(q, int(k)) for k in nums]
+
+def enumerate_numerators(count: int, q: int) -> np.ndarray:
+    """Every string of count*q bits read as count q-bit numerators.
+
+    Returns shape (2^(count*q), count). Row c holds the numerators that
+    draw_dyadic_numerators(q, count) returns when the next count*q bits of
+    the source spell c, most significant bit first: field j of the string
+    is numerator j.
+    """
+    total_bits = count * q
+    if total_bits > ENUMERATION_BIT_CAP:
+        raise FeasibilityError(
+            f"enumeration of {count}*{q} = {total_bits} bits exceeds cap "
+            f"{ENUMERATION_BIT_CAP}")
+    codes = np.arange(1 << total_bits, dtype=np.int64)
+    shifts = total_bits - q * np.arange(1, count + 1)
+    return (codes[:, None] >> shifts[None, :]) & ((1 << q) - 1)

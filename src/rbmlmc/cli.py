@@ -23,8 +23,17 @@ from .bitsource import BitSource
 from .errors import FeasibilityError
 
 
+def _parse_seed(value) -> int:
+    """A seed in [0, 2^64): the generators are keyed by 64-bit words, so
+    any other integer would fail deep in a run or alias a valid seed."""
+    seed = int(value)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def _parse_seeds(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+    return [_parse_seed(s) for s in text.split(",") if s.strip() != ""]
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -58,14 +67,15 @@ def cmd_run(args) -> int:
     if any(e is None for e in eps_values):
         raise ValueError("provide --eps or --eps-grid")
     seeds = _parse_seeds(args.seeds)
+    schedules = [(eps, mlmc.params_for_eps(eps, args.variant))
+                 for eps in sorted(eps_values, reverse=True)]
     out, close = _open_out(args.out)
     try:
         w = csv.writer(out)
         w.writerow(["variant", "eps", "seed", "estimate", "L", "q",
                     "level_means", "level_vars", "info_cost", "bit_count",
                     "coin_count", "wall_time_ms"])
-        for eps in sorted(eps_values, reverse=True):
-            params = mlmc.params_for_eps(eps, args.variant)
+        for eps, params in schedules:
             for seed in seeds:
                 t0 = time.perf_counter()
                 rep = mlmc.run(problem, f, params, seed)
@@ -87,6 +97,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_strong_error(args) -> int:
+    seed = _parse_seed(args.seed)
+    # --reps < 1 averages over nothing (a nan row), and a step count < 1
+    # gives a path without Euler steps.
+    for flag, value in (("--reps", args.reps), ("--m", args.m),
+                        ("--q-min", args.q_min), ("--m-min", args.m_min)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    if args.mode in ("discretization", "both") and args.sde != "gbm":
+        raise ValueError("discretization mode uses the gbm closed form")
     out, close = _open_out(args.out)
     try:
         w = csv.writer(out)
@@ -96,19 +115,16 @@ def cmd_strong_error(args) -> int:
             problem = sde.preset(args.sde)
             for q in range(args.q_min, args.q_max + 1):
                 msd = euler.bit_vs_classical_sup_sq(
-                    problem, args.m, q, args.reps, args.seed)
+                    problem, args.m, q, args.reps, seed)
                 w.writerow(["quantization", args.sde, args.m, q, repr(msd),
                             args.reps])
         if args.mode in ("discretization", "both"):
-            if args.sde != "gbm":
-                raise ValueError(
-                    "discretization mode uses the gbm closed form")
             g = sde.preset("gbm")
             m = args.m_min
             while m <= args.m_max:
                 msd = euler.gbm_strong_error_vs_exact(
                     g.params["mu"], g.params["sigma"], float(g.x0[0]),
-                    m, args.reps, args.seed)
+                    m, args.reps, seed)
                 w.writerow(["discretization", "gbm", m, "", repr(msd),
                             args.reps])
                 m *= 2
@@ -142,32 +158,35 @@ def cmd_bakhvalov_check(args) -> int:
 def cmd_oracle(args) -> int:
     problem = sde.preset(args.sde)
     f = _functional_for(args, problem)
+    seed = _parse_seed(args.seed)
+    # Everything is computed before the output is opened, so a
+    # configuration or feasibility error leaves no partial CSV.
+    if args.kind == "expectation":
+        mean, var = oracle.exact_expectation_bit_euler(
+            problem, f, args.m, args.q)
+    else:
+        mean, var = oracle.exact_level_difference(
+            problem, f, args.m, args.q)
+    mc_mean = z = ""
+    if args.mc_reps:
+        src = BitSource(seed, 0)
+        v = euler.bit_increments(src, args.m, args.q, problem.d,
+                                 n=args.mc_reps)
+        fine = f.eval_batch(euler.euler_paths_batch(problem, v))
+        if args.kind == "expectation":
+            vals = fine
+        else:
+            vals = fine - f.eval_batch(euler.euler_paths_batch(
+                problem, euler.coarse_from_fine(v)))
+        mc_mean = float(np.mean(vals))
+        sigma = math.sqrt(var / args.mc_reps) if var > 0 else 0.0
+        z = repr((mc_mean - mean) / sigma if sigma > 0 else 0.0)
+        mc_mean = repr(mc_mean)
     out, close = _open_out(args.out)
     try:
         w = csv.writer(out)
         w.writerow(["sde", "functional", "kind", "m", "q", "oracle_mean",
                     "oracle_var", "mc_mean", "mc_reps", "z_score"])
-        if args.kind == "expectation":
-            mean, var = oracle.exact_expectation_bit_euler(
-                problem, f, args.m, args.q)
-        else:
-            mean, var = oracle.exact_level_difference(
-                problem, f, args.m, args.q)
-        mc_mean = z = ""
-        if args.mc_reps:
-            src = BitSource(args.seed, 0)
-            v = euler.bit_increments(src, args.m, args.q, problem.d,
-                                     n=args.mc_reps)
-            fine = f.eval_batch(euler.euler_paths_batch(problem, v))
-            if args.kind == "expectation":
-                vals = fine
-            else:
-                vals = fine - f.eval_batch(euler.euler_paths_batch(
-                    problem, euler.coarse_from_fine(v)))
-            mc_mean = float(np.mean(vals))
-            sigma = math.sqrt(var / args.mc_reps) if var > 0 else 0.0
-            z = repr((mc_mean - mean) / sigma if sigma > 0 else 0.0)
-            mc_mean = repr(mc_mean)
         w.writerow([args.sde, f.label, args.kind, args.m, args.q,
                     repr(mean), repr(var), mc_mean, args.mc_reps or "", z])
     finally:

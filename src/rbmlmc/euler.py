@@ -7,7 +7,6 @@ of the SAME fine increments, so a coupled pair costs no extra randomness.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,43 +14,6 @@ from .bitsource import BitSource
 from .ledger import CostLedger
 from .qnormal import normal_quantile, quantize_normal
 from .sde import SDEProblem
-
-
-@dataclass(frozen=True)
-class Path:
-    """Piecewise-linear path with m+1 equidistant breakpoints on [0,1]."""
-
-    values: np.ndarray  # shape (m+1, r)
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[0] < 2:
-            raise ValueError("values must have shape (m+1, r) with m >= 1")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def r(self) -> int:
-        return self.values.shape[1]
-
-    def at(self, t) -> np.ndarray:
-        """Linear interpolation at times t in [0,1]; shape t.shape + (r,)."""
-        t = np.asarray(t, dtype=float)
-        s = np.clip(t, 0.0, 1.0) * self.m
-        k = np.minimum(np.floor(s).astype(np.int64), self.m - 1)
-        w = (s - k)[..., None]
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-
-
-@dataclass(frozen=True)
-class CoupledPaths:
-    fine: Path
-    coarse: Path
-
-    def __post_init__(self):
-        if self.fine.m % 2 != 0 or self.coarse.m != self.fine.m // 2:
-            raise ValueError("coarse path must have half the fine step count")
 
 
 def euler_paths_batch(p: SDEProblem, increments: np.ndarray,
@@ -72,14 +34,6 @@ def euler_paths_batch(p: SDEProblem, increments: np.ndarray,
     if ledger is not None:
         ledger.coeff_evals += 2 * n * m
     return out
-
-
-def euler_classical(p: SDEProblem, m: int, increments: np.ndarray,
-                    ledger: CostLedger | None = None) -> Path:
-    """One Euler path from externally supplied increments (m vectors in R^d)."""
-    increments = np.asarray(increments, dtype=float).reshape(m, p.d)
-    values = euler_paths_batch(p, increments[None], ledger=ledger)
-    return Path(values[0])
 
 
 def classical_increments(rng: np.random.Generator, m: int, d: int,
@@ -115,28 +69,6 @@ def coarse_from_fine(increments: np.ndarray) -> np.ndarray:
         raise ValueError("fine step count must be even")
     shape = increments.shape[:-2] + (m // 2, 2, increments.shape[-1])
     return increments.reshape(shape).sum(axis=-2)
-
-
-def coupled_bit_pair(p: SDEProblem, m: int, q: int, src: BitSource,
-                     ledger: CostLedger | None = None) -> CoupledPaths:
-    """Fine bit-Euler path plus the coarse path from summed fine increments."""
-    if m % 2 != 0 or m < 2:
-        raise ValueError("m must be even and >= 2")
-    v = bit_increments(src, m, q, p.d, ledger=ledger)
-    fine = euler_classical(p, m, v, ledger=ledger)
-    coarse = euler_classical(p, m // 2, coarse_from_fine(v), ledger=ledger)
-    return CoupledPaths(fine=fine, coarse=coarse)
-
-
-def coupled_classical_pair(p: SDEProblem, m: int, rng: np.random.Generator,
-                           ledger: CostLedger | None = None) -> CoupledPaths:
-    """Same coupling with exact normal increments."""
-    if m % 2 != 0 or m < 2:
-        raise ValueError("m must be even and >= 2")
-    v = classical_increments(rng, m, p.d, ledger=ledger)
-    fine = euler_classical(p, m, v, ledger=ledger)
-    coarse = euler_classical(p, m // 2, coarse_from_fine(v), ledger=ledger)
-    return CoupledPaths(fine=fine, coarse=coarse)
 
 
 def quantized_increments_from_normals(normals: np.ndarray, m: int,
@@ -194,25 +126,12 @@ def gbm_strong_error_vs_exact(mu: float, sigma: float, x0: float, m: int,
     return float(np.mean(np.max(np.abs(exact - euler_fine), axis=1) ** 2))
 
 
-def sup_distance(x: Path, y: Path) -> float:
-    """Supremum over [0,1] of the Euclidean distance between two paths.
-
-    Both paths are piecewise linear, so their difference is too, and the
-    maximum over each segment of the merged grid sits at a grid point.
-    """
-    if x.r != y.r:
-        raise ValueError(f"state dimension mismatch: {x.r} != {y.r}")
-    if x.m == y.m:
-        diff = x.values - y.values
-    else:
-        g = math.lcm(x.m, y.m)
-        t = np.arange(g + 1) / g
-        diff = x.at(t) - y.at(t)
-    return float(np.max(np.linalg.norm(diff, axis=-1)))
-
-
 def sup_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-path sup distance for two batches on the SAME breakpoint grid."""
+    """Per-path sup distance for two batches on the SAME breakpoint grid.
+
+    Both paths of a pair are piecewise linear on that grid, so their
+    distance over [0,1] attains its maximum at a breakpoint.
+    """
     if a.shape != b.shape:
         raise ValueError("batches must share shape (n, m+1, r)")
     return np.max(np.linalg.norm(a - b, axis=-1), axis=-1)

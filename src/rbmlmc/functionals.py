@@ -2,7 +2,8 @@
 
 Each functional carries a batched evaluator over arrays of breakpoint values
 (shape (n, m+1, r)); for piecewise-linear paths the presets are exact, no
-quadrature error. Evaluations are charged to the ledger at m+1 per call.
+quadrature error. mlmc.run charges each evaluation on an m-step path as
+m+1 to the ledger's information cost.
 """
 
 from dataclasses import dataclass
@@ -10,18 +11,12 @@ from typing import Callable
 
 import numpy as np
 
-from .euler import Path
-from .ledger import CostLedger
-
 
 @dataclass(frozen=True)
 class Functional:
     label: str
     lipschitz_bound: float
     eval_batch: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, path: Path) -> float:
-        return float(self.eval_batch(path.values[None])[0])
 
 
 def _terminal(values: np.ndarray) -> np.ndarray:
@@ -84,12 +79,3 @@ def preset_functional(name: str, x0: np.ndarray | None = None) -> Functional:
 
 def preset_functional_names() -> list[str]:
     return sorted([*_PRESETS, "distance_to_ref"])
-
-
-def eval_with_cost(f: Functional, x: Path, ledger: CostLedger) -> float:
-    """Evaluate f at a path on a dyadic grid, charging m+1 to info_cost."""
-    m = x.m
-    if m & (m - 1) != 0:
-        raise ValueError(f"cost model requires a dyadic step count, got m={m}")
-    ledger.info_cost += m + 1
-    return f(x)

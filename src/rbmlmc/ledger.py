@@ -15,15 +15,3 @@ class CostLedger:
     bit_count: int = 0
     coin_count: int = 0
     coeff_evals: int = 0
-
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        """Add another ledger's counters into this one (join semantics)."""
-        self.info_cost += other.info_cost
-        self.bit_count += other.bit_count
-        self.coin_count += other.coin_count
-        self.coeff_evals += other.coeff_evals
-        return self
-
-    def copy(self) -> "CostLedger":
-        return CostLedger(self.info_cost, self.bit_count,
-                          self.coin_count, self.coeff_evals)

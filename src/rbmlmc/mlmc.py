@@ -183,30 +183,6 @@ def run(p: SDEProblem, f: Functional, params: MLMCParams,
                       params=params, seed=seed)
 
 
-def run_classical(p, f, params, seed):
-    if params.variant != "classical":
-        raise ValueError("params are not for the classical variant")
-    return run(p, f, params, seed)
-
-
-def run_bit(p, f, params, seed):
-    if params.variant != "bit":
-        raise ValueError("params are not for the bit variant")
-    return run(p, f, params, seed)
-
-
-def run_bbit(p, f, params, seed):
-    if params.variant != "bbit":
-        raise ValueError("params are not for the bbit variant")
-    return run(p, f, params, seed)
-
-
-def run_bbit_log(p, f, params, seed):
-    if params.variant != "bbit_log":
-        raise ValueError("params are not for the bbit_log variant")
-    return run(p, f, params, seed)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form resource schedules (no simulation involved).
 

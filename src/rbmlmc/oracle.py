@@ -2,9 +2,9 @@
 
 A bit-Euler path with m steps, d driving dimensions and depth q is a function
 of m*d*q fair bits, so its expectation is the equal-weight average over all
-2^(m*d*q) bit strings. Enumeration uses the same most-significant-bit-first
-convention as BitSource: the j-th q-bit field of a bit string is the
-numerator of the j-th dyadic uniform drawn, fields ordered step-major,
+2^(m*d*q) bit strings. bitsource.enumerate_numerators reads them as a
+BitSource draws: the j-th q-bit field of a bit string is the numerator of
+the j-th dyadic uniform drawn, fields ordered step-major,
 component-minor.
 """
 
@@ -13,32 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitsource import enumerate_numerators
 from .errors import FeasibilityError
 from .euler import coarse_from_fine, euler_paths_batch
 from .functionals import Functional
 from .qnormal import grid_atoms
 from .sde import SDEProblem
 
-ENUMERATION_BIT_CAP = 24
-
-
-def _check_budget(total_bits: int):
-    if total_bits > ENUMERATION_BIT_CAP:
-        raise FeasibilityError(
-            f"enumeration of {total_bits} bits exceeds cap "
-            f"{ENUMERATION_BIT_CAP}")
-
 
 def enumerate_bit_increments(m: int, q: int, d: int) -> np.ndarray:
     """All increment arrays, shape (2^(m*d*q), m, d), each equally likely."""
-    total_bits = m * d * q
-    _check_budget(total_bits)
-    codes = np.arange(1 << total_bits, dtype=np.int64)
-    slots = m * d
-    shifts = total_bits - q * np.arange(1, slots + 1)
-    nums = (codes[:, None] >> shifts[None, :]) & ((1 << q) - 1)
-    atoms = grid_atoms(q)
-    return atoms[nums].reshape(-1, m, d) / math.sqrt(m)
+    nums = enumerate_numerators(m * d, q)
+    return grid_atoms(q)[nums].reshape(-1, m, d) / math.sqrt(m)
 
 
 def exact_expectation_bit_euler(p: SDEProblem, f: Functional, m: int,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .bitsource import BitSource, DyadicValue
 from .errors import FeasibilityError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -76,19 +75,10 @@ def normal_quantile(u):
     return float(z) if scalar else z
 
 
-def round_dyadic(x: float, q: int) -> DyadicValue:
-    """Midpoint of the dyadic cell of width 2^-q containing x in [0,1)."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"round_dyadic requires 0 <= x < 1, got {x}")
-    # 2^q is a power of two, so the scaling is exact and floor is safe on
-    # cell boundaries (boundary values round down).
-    return DyadicValue(q, int(math.floor(x * (1 << q))))
-
-
 def _round_numerators(x: np.ndarray, q: int) -> np.ndarray:
     """Vectorized cell index of x in [0,1]; x == 1.0 is clamped to the top cell."""
+    # 2^q is a power of two, so the scaling is exact and floor is safe on
+    # cell boundaries (a boundary value goes to the upper cell).
     k = np.floor(x * (1 << q)).astype(np.int64)
     return np.minimum(k, (1 << q) - 1)
 
@@ -102,13 +92,6 @@ def quantize_normal(y, q: int):
     k = _round_numerators(ndtr(arr), q)
     z = normal_quantile((k + 0.5) / 2.0 ** q)
     return float(z) if scalar else z
-
-
-def sample_quantized_normal(src: BitSource, q: int, d: int) -> np.ndarray:
-    """d-vector of independent quantized normals; consumes exactly d*q bits."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return normal_quantile(src.draw_dyadic_values(q, (d,)))
 
 
 _MAX_GRID_Q = 20

@@ -10,8 +10,6 @@ from typing import Callable
 
 import numpy as np
 
-from .ledger import CostLedger
-
 
 @dataclass(frozen=True)
 class SDEProblem:
@@ -31,24 +29,6 @@ class SDEProblem:
             raise ValueError("gamma must be finite and >= 0")
         if np.shape(self.x0) != (self.r,):
             raise ValueError(f"x0 must have shape ({self.r},)")
-
-
-def eval_drift(p: SDEProblem, x: np.ndarray, ledger: CostLedger | None = None):
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p.r:
-        raise ValueError(f"state dimension mismatch: {x.shape[-1]} != {p.r}")
-    if ledger is not None:
-        ledger.coeff_evals += int(np.prod(x.shape[:-1], dtype=np.int64)) if x.ndim > 1 else 1
-    return p.drift(x)
-
-
-def eval_diffusion(p: SDEProblem, x: np.ndarray, ledger: CostLedger | None = None):
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p.r:
-        raise ValueError(f"state dimension mismatch: {x.shape[-1]} != {p.r}")
-    if ledger is not None:
-        ledger.coeff_evals += int(np.prod(x.shape[:-1], dtype=np.int64)) if x.ndim > 1 else 1
-    return p.diffusion(x)
 
 
 def make_gbm(mu: float = 0.05, sigma: float = 0.2, x0: float = 1.0) -> SDEProblem:

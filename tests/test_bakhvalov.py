@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from rbmlmc.bakhvalov import (exact_pairwise_check, find_nonuniform_triple,
-                              find_nonuniform_tuple, joint_is_uniform,
-                              logarithmic_outputs, pairwise_logarithmic,
-                              pairwise_quadratic, quadratic_outputs)
-from rbmlmc.bitsource import BitSource
+from rbmlmc.bakhvalov import (_all_outputs, exact_pairwise_check,
+                              find_nonuniform_triple, find_nonuniform_tuple,
+                              joint_is_uniform, logarithmic_outputs,
+                              quadratic_outputs)
+from rbmlmc.bitsource import BitSource, enumerate_numerators
 from rbmlmc.errors import FeasibilityError
 
 
@@ -34,22 +34,25 @@ def test_logarithmic_outputs_n2_q2():
 
 
 def test_family_shapes_and_midpoint_values():
-    src = BitSource(7, 0)
-    fam = pairwise_quadratic(src, 3, 2, d=2)
-    assert fam.count == 9 and fam.generators_used == 6
-    assert fam.numerators.shape == (9, 2)
-    np.testing.assert_allclose(fam.values,
-                               (fam.numerators + 0.5) / 4.0)
-    fam2 = pairwise_logarithmic(BitSource(7, 1), 3, 2)
-    assert fam2.count == 8 and fam2.numerators.shape == (8, 1)
+    # 2n = 6 generators per component give n^2 = 9 quadratic outputs
+    g = BitSource(7, 0).draw_dyadic_numerators(2, (6, 2))
+    out = quadratic_outputs(g[:3], g[3:], 2)
+    assert out.shape == (9, 2)
+    assert out.min() >= 0 and out.max() < 4  # numerators of depth-2 midpoints
+    g = BitSource(7, 1).draw_dyadic_numerators(2, (2, 3, 1))
+    out = logarithmic_outputs(g, 2)
+    assert out.shape == (8, 1)
+    assert out.min() >= 0 and out.max() < 4
 
 
 def test_family_consumes_exact_bits():
+    # a family costs its 2n generator draws and nothing else
     src = BitSource(11, 4)
-    pairwise_quadratic(src, 2, 3, d=2)
+    g = src.draw_dyadic_numerators(3, (2 * 2, 2))
+    quadratic_outputs(g[:2], g[2:], 3)
     assert src.bits_consumed == 2 * 2 * 3 * 2
     src2 = BitSource(11, 5)
-    pairwise_logarithmic(src2, 4, 2, d=1)
+    logarithmic_outputs(src2.draw_dyadic_numerators(2, (2, 4, 1)), 2)
     assert src2.bits_consumed == 2 * 4 * 2
 
 
@@ -62,8 +65,9 @@ def test_exact_pairwise_check_passes():
 
 
 def test_marginal_uniformity_sampled():
-    fam = pairwise_quadratic(BitSource(3, 0), 2, 2)
-    assert set(np.unique(fam.numerators)) <= {0, 1, 2, 3}
+    g = BitSource(3, 0).draw_dyadic_numerators(2, (4, 1))
+    out = quadratic_outputs(g[:2], g[2:], 2)
+    assert set(np.unique(out)) <= {0, 1, 2, 3}
 
 
 def test_every_triple_uniform_quadratic():
@@ -94,6 +98,25 @@ def test_enumeration_cap():
 
 def test_invalid_args():
     with pytest.raises(ValueError):
-        pairwise_quadratic(BitSource(0, 0), 0, 1)
-    with pytest.raises(ValueError):
         exact_pairwise_check(2, 1, "cubic")
+
+
+def test_combiners_take_a_leading_axis():
+    # stacked generator arrays give the stack of per-realization outputs
+    rng = np.random.default_rng(0)
+    left, right = rng.integers(0, 8, size=(2, 5, 4, 2))
+    assert np.array_equal(
+        quadratic_outputs(left, right, 3),
+        np.stack([quadratic_outputs(a, b, 3) for a, b in zip(left, right)]))
+    g = rng.integers(0, 8, size=(5, 2, 3, 2))
+    assert np.array_equal(logarithmic_outputs(g, 3),
+                          np.stack([logarithmic_outputs(x, 3) for x in g]))
+    # the exact checks enumerate exactly these per-realization outputs
+    for n, q in ((2, 1), (3, 1)):
+        gens = enumerate_numerators(2 * n, q)[:, :, None]
+        quad = np.stack([quadratic_outputs(x[:n], x[n:], q)[:, 0]
+                         for x in gens])
+        assert np.array_equal(_all_outputs(n, q, "quadratic"), quad)
+        log = np.stack([logarithmic_outputs(x.reshape(2, n, 1), q)[:, 0]
+                        for x in gens])
+        assert np.array_equal(_all_outputs(n, q, "logarithmic"), log)

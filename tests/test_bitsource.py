@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from rbmlmc.bitsource import BitSource, DyadicValue
+from rbmlmc.bitsource import BitSource, enumerate_numerators
+from rbmlmc.errors import FeasibilityError
 
 
 def test_reproducible_given_seed_and_stream():
@@ -23,8 +24,8 @@ def test_chunking_does_not_change_positions():
 def test_draw_bit_counts_one():
     src = BitSource(0)
     for i in range(10):
-        b = src.draw_bit()
-        assert b in (0, 1)
+        b = src.draw_bits(1)
+        assert b.shape == (1,) and b[0] in (0, 1)
         assert src.bits_consumed == i + 1
 
 
@@ -41,30 +42,31 @@ def test_bit_mean_in_binomial_band():
 
 
 def test_dyadic_value_formula():
-    assert DyadicValue(2, 2).value == 0.625  # bits (1,0): 1/2 + 1/8
-    assert DyadicValue(1, 0).value == 0.25
-    assert DyadicValue(1, 1).value == 0.75
+    # value = (numerator + 1/2) / 2^q, e.g. bits (1,0): 1/2 + 1/8 = 0.625
+    nums = BitSource(4, 2).draw_dyadic_numerators(2, 500)
+    vals = BitSource(4, 2).draw_dyadic_values(2, 500)
+    assert np.array_equal(vals, (nums + 0.5) / 4)
+    assert vals[nums == 2][0] == 0.625
+    assert set(BitSource(4, 3).draw_dyadic_values(1, 100)) == {0.25, 0.75}
     with pytest.raises(ValueError):
-        DyadicValue(2, 4)
-    with pytest.raises(ValueError):
-        DyadicValue(0, 0)
+        BitSource(0).draw_dyadic_values(0, 3)
 
 
 def test_dyadic_uniform_matches_bit_pattern():
     src = BitSource(42, 9)
     bits = BitSource(42, 9).draw_bits(6)
-    vals = src.draw_dyadic_uniform(3, 2)
+    nums = src.draw_dyadic_numerators(3, 2)
     assert src.bits_consumed == 6
-    for j, v in enumerate(vals):
+    for j, k in enumerate(nums):
         expected = int("".join(map(str, bits[3 * j:3 * j + 3])), 2)
-        assert v.numerator == expected
+        assert k == expected
 
 
 @given(q=st.integers(1, 12), d=st.integers(1, 5), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=50, deadline=None)
 def test_bit_count_exactness(q, d, seed):
     src = BitSource(seed)
-    src.draw_dyadic_uniform(q, d)
+    src.draw_dyadic_numerators(q, d)
     assert src.bits_consumed == d * q
     src.draw_dyadic_numerators(q, (3, d))
     assert src.bits_consumed == d * q + 3 * d * q
@@ -93,10 +95,13 @@ def test_stream_independence_chi_square_q2():
     assert stat < chi2.ppf(1 - 1e-3, 15)
 
 
-def test_split_creates_new_counter():
-    src = BitSource(3, 0)
-    src.draw_bits(10)
-    child = src.split(4)
-    assert child.bits_consumed == 0
-    assert child.stream_id == 4
-    assert np.array_equal(child.draw_bits(32), BitSource(3, 4).draw_bits(32))
+def test_enumeration_reads_bits_like_draws():
+    # row c of the enumeration is what a source draws when its bits spell c
+    src = BitSource(42, 9)
+    code = int("".join(map(str, BitSource(42, 9).draw_bits(12))), 2)
+    table = enumerate_numerators(4, 3)
+    assert table.shape == (1 << 12, 4)
+    assert np.array_equal(table[code], src.draw_dyadic_numerators(3, 4))
+    assert enumerate_numerators(2, 2)[0b1001].tolist() == [2, 1]
+    with pytest.raises(FeasibilityError):
+        enumerate_numerators(5, 5)

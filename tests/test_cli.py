@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import subprocess
 import sys
@@ -86,6 +87,58 @@ def test_run_missing_eps_exit_2(capsys):
     assert code == 2
 
 
+# Configuration errors: each must exit 2 before any CSV is written, with
+# no traceback and no silently aliased seed.
+BAD_CONFIGS = [
+    ["run", "--variant", "classical", "--eps", "0.25", "--seeds=-1"],
+    ["run", "--variant", "bit", "--eps", "0.25",
+     "--seeds", "18446744073709551616"],
+    ["run", "--variant", "bit", "--eps", "nan", "--seeds", "0"],
+    ["strong-error", "--mode", "quantization", "--m", "4", "--q-min", "2",
+     "--q-max", "2", "--reps", "10", "--seed", "-1"],
+    ["strong-error", "--mode", "quantization", "--m", "4", "--q-min", "2",
+     "--q-max", "2", "--reps", "0"],
+    ["strong-error", "--mode", "both", "--sde", "additive_noise", "--m", "4",
+     "--q-min", "2", "--q-max", "2", "--reps", "10"],
+    ["strong-error", "--mode", "discretization", "--m-min", "0", "--m-max",
+     "4", "--reps", "10"],
+    ["oracle", "--m", "2", "--q", "1", "--mc-reps", "10", "--seed", "-1"],
+]
+
+
+@pytest.mark.parametrize("args", BAD_CONFIGS, ids=lambda a: " ".join(a))
+def test_config_error_writes_nothing(args, capsys, tmp_path):
+    code, out, err = run_cli(args + ["--out", "-"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    target = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(target)], capsys)[0] == 2
+    assert not target.exists()
+
+
+def test_seed_range_ends_are_accepted(capsys):
+    for variant in ("classical", "bit"):
+        code, out, _ = run_cli(["run", "--variant", variant, "--eps", "0.25",
+                                "--seeds", f"0,{2 ** 64 - 1}", "--out", "-"],
+                               capsys)
+        assert code == 0 and len(parse_csv(out)) == 3
+
+
+def test_run_csv_matches_baseline_hashes(capsys):
+    # sha256 prefixes of the committed baseline: any change to the arithmetic
+    # or the CSV format of `run` shows here
+    expected = {"classical": "0648c7854c74c94d", "bit": "634fce302971ff59",
+                "bbit": "a9a014f74ed28d1b", "bbit-log": "444ea71fb2f3fe82"}
+    for variant, prefix in expected.items():
+        code, out, _ = run_cli(["run", "--variant", variant, "--eps",
+                                "0.0625", "--seeds", "0,1,2", "--out", "-"],
+                               capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
 def test_strong_error_quantization(capsys):
     code, out, _ = run_cli(["strong-error", "--mode", "quantization",
                             "--m", "16", "--q-min", "2", "--q-max", "4",
@@ -143,9 +196,10 @@ def test_oracle_with_mc(capsys):
 
 
 def test_oracle_feasibility_exit_3(capsys):
-    code, _, _ = run_cli(["oracle", "--m", "16", "--q", "4", "--out", "-"],
-                         capsys)
+    code, out, _ = run_cli(["oracle", "--m", "16", "--q", "4", "--out", "-"],
+                           capsys)
     assert code == 3
+    assert out == ""
 
 
 def test_cost_report(capsys):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from rbmlmc.bitsource import BitSource
-from rbmlmc.euler import (Path, bit_increments, classical_increments,
-                          coarse_from_fine, coupled_bit_pair,
-                          coupled_classical_pair, euler_classical,
-                          euler_paths_batch, sup_distance, sup_distance_batch)
+from rbmlmc.euler import (bit_increments, classical_increments,
+                          coarse_from_fine, euler_paths_batch,
+                          sup_distance_batch)
 from rbmlmc.ledger import CostLedger
 from rbmlmc.qnormal import normal_quantile
 from rbmlmc.sde import make_gbm, make_zero_noise, preset
@@ -17,23 +16,23 @@ Q3 = 0.674489750196082  # quantile(3/4)
 
 def test_zero_increments_zero_drift_constant_path():
     p = make_zero_noise(x0=2.5)
-    path = euler_classical(p, 4, np.zeros((4, 1)))
-    assert np.all(path.values == 2.5)
+    path = euler_paths_batch(p, np.zeros((1, 4, 1)))[0]
+    assert np.all(path == 2.5)
 
 
 def test_gbm_one_step_recursion():
     g = preset("gbm")
     v = 0.3
-    path = euler_classical(g, 1, np.array([[v]]))
-    assert path.values[1, 0] == pytest.approx(1.0 * (1 + 0.05 + 0.2 * v))
+    path = euler_paths_batch(g, np.array([[v]])[None])[0]
+    assert path[1, 0] == pytest.approx(1.0 * (1 + 0.05 + 0.2 * v))
 
 
 def test_additive_two_step_recursion():
     p = preset("additive_noise")
     v1, v2 = 0.4, -0.2
-    path = euler_classical(p, 2, np.array([[v1], [v2]]))
+    path = euler_paths_batch(p, np.array([[v1], [v2]])[None])[0]
     expected = (1.0 * (1 - 0.5) + v1) * (1 - 0.5) + v2
-    assert path.values[2, 0] == pytest.approx(expected)
+    assert path[2, 0] == pytest.approx(expected)
 
 
 def test_classical_increment_statistics():
@@ -75,15 +74,19 @@ def test_coupled_bit_pair_coarse_consistency_and_bits():
     g = preset("gbm")
     src = BitSource(3, 0)
     ledger = CostLedger()
-    cp = coupled_bit_pair(g, 8, 3, src, ledger=ledger)
+    v = bit_increments(src, 8, 3, 1, n=1, ledger=ledger)
+    fine = euler_paths_batch(g, v, ledger=ledger)
+    coarse = euler_paths_batch(g, coarse_from_fine(v), ledger=ledger)
     assert ledger.bit_count == 24
     assert src.bits_consumed == 24
+    assert ledger.coeff_evals == 2 * 8 + 2 * 4
     # recompute the coarse path from the summed increments: bitwise identical
     v = bit_increments(BitSource(3, 0), 8, 3, 1)
-    coarse = euler_classical(g, 4, coarse_from_fine(v))
-    assert np.array_equal(coarse.values, cp.coarse.values)
-    assert np.all(cp.fine.values[0] == g.x0)
-    assert np.all(cp.coarse.values[0] == g.x0)
+    again = euler_paths_batch(g, coarse_from_fine(v)[None])
+    assert np.array_equal(again, coarse)
+    assert fine.shape == (1, 9, 1) and coarse.shape == (1, 5, 1)
+    assert np.all(fine[:, 0] == g.x0)
+    assert np.all(coarse[:, 0] == g.x0)
 
 
 def test_coupled_coarse_increment_values_m2_q1():
@@ -107,9 +110,9 @@ def test_coupled_classical_pair_variance_band():
 
 def test_coupled_pair_degenerate_case():
     p = make_zero_noise()
-    cp = coupled_classical_pair(p, 4, np.random.default_rng(0))
-    assert np.all(cp.fine.values == p.x0[0])
-    assert np.all(cp.coarse.values == p.x0[0])
+    v = classical_increments(np.random.default_rng(0), 4, 1, n=1)
+    assert np.all(euler_paths_batch(p, v) == p.x0[0])
+    assert np.all(euler_paths_batch(p, coarse_from_fine(v)) == p.x0[0])
 
 
 def test_martingale_mean_driftless_bit_scheme():
@@ -135,22 +138,16 @@ def test_fine_coarse_gap_shrinks_with_m():
 
 
 def test_sup_distance_identity_and_constants():
-    x = Path(np.array([[0.0], [1.0]]))
-    assert sup_distance(x, x) == 0.0
-    zero1 = Path(np.zeros((2, 1)))
-    c2 = Path(np.full((3, 1), 0.7))
-    assert sup_distance(zero1, c2) == pytest.approx(0.7)
-
-
-def test_sup_distance_merged_grid():
-    x = Path(np.array([[0.0], [1.0]]))          # m=1, line 0 -> 1
-    y = Path(np.array([[0.0], [0.0], [0.0]]))   # m=2, constant 0
-    assert sup_distance(x, y) == pytest.approx(1.0)
+    x = np.array([[[0.0], [1.0]]])
+    assert sup_distance_batch(x, x)[0] == 0.0
+    zero = np.zeros((1, 3, 1))
+    c = np.full((1, 3, 1), 0.7)
+    assert sup_distance_batch(zero, c)[0] == pytest.approx(0.7)
 
 
 def test_sup_distance_dimension_mismatch():
     with pytest.raises(ValueError):
-        sup_distance(Path(np.zeros((2, 1))), Path(np.zeros((2, 2))))
+        sup_distance_batch(np.zeros((1, 2, 1)), np.zeros((1, 2, 2)))
 
 
 def test_sup_distance_batch_matches_scalar():
@@ -159,10 +156,10 @@ def test_sup_distance_batch_matches_scalar():
     b = rng.normal(size=(5, 9, 2))
     batch = sup_distance_batch(a, b)
     for i in range(5):
-        assert batch[i] == pytest.approx(sup_distance(Path(a[i]), Path(b[i])))
+        ref = max(math.dist(a[i, k], b[i, k]) for k in range(9))
+        assert batch[i] == pytest.approx(ref)
 
 
 def test_coupled_pair_requires_even_m():
-    g = preset("gbm")
     with pytest.raises(ValueError):
-        coupled_bit_pair(g, 3, 2, BitSource(0))
+        coarse_from_fine(np.zeros((1, 3, 1)))

@@ -4,8 +4,7 @@ import pytest
 from rbmlmc.functionals import make_constant, preset_functional
 from rbmlmc.mlmc import (MLMCParams, bit_count_formula, bitcount_bound_check,
                          coin_count_formula, info_cost_formula, params_for_eps,
-                         run, run_bbit, run_bbit_log, run_bit, run_classical,
-                         work_model)
+                         run, work_model)
 from rbmlmc.sde import make_gbm, make_zero_noise, preset
 
 EPS = 0.25  # eps^-2 = 16, log2 = 4: L = 4 + ceil(log2 4) = 6
@@ -113,19 +112,6 @@ def test_zero_noise_variants_agree_exactly():
     assert a.estimate == pytest.approx(b.estimate, abs=1e-14)
     for lev in b.levels[1:]:
         assert lev.variance == 0.0
-
-
-def test_variant_wrappers_enforce_variant():
-    params = params_for_eps(0.25, "bit")
-    f = preset_functional("terminal")
-    p = make_gbm()
-    with pytest.raises(ValueError):
-        run_classical(p, f, params, 0)
-    with pytest.raises(ValueError):
-        run_bbit(p, f, params, 0)
-    with pytest.raises(ValueError):
-        run_bbit_log(p, f, params, 0)
-    assert run_bit(p, f, params, 0).params.variant == "bit"
 
 
 def test_estimate_near_truth_gbm():

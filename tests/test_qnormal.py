@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from rbmlmc.bitsource import BitSource
 from rbmlmc.errors import FeasibilityError
+from rbmlmc.euler import bit_increments
 from rbmlmc.qnormal import (exact_grid_moments, grid_atoms, normal_cdf,
-                            normal_quantile, quantize_normal, round_dyadic,
-                            sample_quantized_normal)
+                            normal_quantile, quantize_normal)
 
 # Reference CDF values frozen from a 30-digit mpmath computation.
 CDF_REFS = {
@@ -76,25 +76,25 @@ def test_quantile_domain_errors():
 
 
 def test_round_dyadic_examples():
-    assert round_dyadic(0.3, 1).value == 0.25
-    assert round_dyadic(0.9, 2).value == 0.875
+    # quantize_normal rounds cdf(y) to the midpoint of its dyadic cell
+    assert quantize_normal(normal_quantile(0.3), 1) == pytest.approx(
+        normal_quantile(0.25), abs=1e-14)
+    assert quantize_normal(normal_quantile(0.9), 2) == pytest.approx(
+        normal_quantile(0.875), abs=1e-14)
     for q in (1, 3, 7):
-        assert round_dyadic(0.0, q).value == 2.0 ** -(q + 1)
-    # exact boundary rounds down into the upper cell
-    assert round_dyadic(0.5, 1).numerator == 1
-    with pytest.raises(ValueError):
-        round_dyadic(-0.01, 2)
-    with pytest.raises(ValueError):
-        round_dyadic(1.0, 2)
+        assert quantize_normal(-40.0, q) == pytest.approx(
+            normal_quantile(2.0 ** -(q + 1)), abs=1e-12)
+    # cdf(0) = 1/2 is an exact cell boundary and rounds into the upper cell
+    assert quantize_normal(0.0, 1) == normal_quantile(0.75)
 
 
-@given(x=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-       q=st.integers(1, 20))
+@given(y=st.floats(min_value=-10.0, max_value=10.0), q=st.integers(1, 20))
 @settings(max_examples=200, deadline=None)
-def test_round_dyadic_is_nearest_midpoint(x, q):
-    v = round_dyadic(x, q)
-    assert 0.0 < v.value < 1.0
-    assert abs(v.value - x) <= 2.0 ** -(q + 1)
+def test_round_dyadic_is_nearest_midpoint(y, q):
+    z = quantize_normal(y, q)
+    assert math.isfinite(z)
+    # the 1e-12 slack is the cdf(quantile(u)) == u self-consistency bound
+    assert abs(normal_cdf(z) - normal_cdf(y)) <= 2.0 ** -(q + 1) + 1e-12
 
 
 def test_quantize_normal_examples():
@@ -123,15 +123,16 @@ def test_quantize_normal_support_size():
 
 
 def test_sample_quantized_normal_atoms_and_counting():
+    # one step (m = 1) of bit increments is a d-vector of quantized normals
     src = BitSource(0, 5)
-    v = sample_quantized_normal(src, 2, 3)
-    assert v.shape == (3,)
+    v = bit_increments(src, 1, 2, 3)
+    assert v.shape == (1, 3)
     assert src.bits_consumed == 6
     atoms = grid_atoms(2)
-    for x in v:
+    for x in v[0]:
         assert np.min(np.abs(atoms - x)) < 1e-12
     # q=1: single bit maps to +-quantile(3/4)
-    x = sample_quantized_normal(BitSource(1, 0), 1, 1)[0]
+    x = bit_increments(BitSource(1, 0), 1, 1, 1)[0, 0]
     assert abs(abs(x) - 0.674489750196082) < 1e-12
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from rbmlmc.euler import euler_paths_batch
 from rbmlmc.ledger import CostLedger
-from rbmlmc.sde import (eval_diffusion, eval_drift, lipschitz_spot_check,
-                        make_gbm, make_zero_noise, preset, preset_names)
+from rbmlmc.sde import (lipschitz_spot_check, make_gbm, make_zero_noise,
+                        preset, preset_names)
 
 
 def test_preset_names_and_unknown():
@@ -17,8 +18,8 @@ def test_preset_names_and_unknown():
 def test_gbm_coefficients():
     g = preset("gbm")
     x = np.array([2.0])
-    assert eval_drift(g, x)[0] == pytest.approx(0.1)
-    assert eval_diffusion(g, x)[0, 0] == pytest.approx(0.4)
+    assert g.drift(x)[0] == pytest.approx(0.1)
+    assert g.diffusion(x)[0, 0] == pytest.approx(0.4)
     assert g.gamma == 0.2
     # closed-form terminal mean used as an exact target elsewhere
     assert float(g.x0[0]) * math.exp(g.params["mu"]) == pytest.approx(
@@ -28,8 +29,8 @@ def test_gbm_coefficients():
 def test_additive_noise_coefficients():
     p = preset("additive_noise")
     x = np.array([0.0])
-    assert eval_drift(p, x)[0] == 0.0
-    assert eval_diffusion(p, x)[0, 0] == 1.0
+    assert p.drift(x)[0] == 0.0
+    assert p.diffusion(x)[0, 0] == 1.0
     # Ornstein-Uhlenbeck closed forms
     assert math.exp(-1.0) == pytest.approx(0.36787944117144233)
     assert (1 - math.exp(-2.0)) / 2 == pytest.approx(0.43233235838169365)
@@ -37,7 +38,7 @@ def test_additive_noise_coefficients():
 
 def test_linear2d_diffusion_nonsingular_at_x0():
     p = preset("linear2d")
-    b = eval_diffusion(p, p.x0)
+    b = p.diffusion(p.x0)
     assert abs(np.linalg.det(b)) > 1e-6
 
 
@@ -51,35 +52,34 @@ def test_diffusion_nonsingular_square_presets():
         p = preset(name)
         if p.r == p.d:
             assert abs(np.linalg.det(np.atleast_2d(
-                eval_diffusion(p, p.x0)))) > 0
+                p.diffusion(p.x0)))) > 0
 
 
 def test_dimension_mismatch_errors():
     g = preset("gbm")
     with pytest.raises(ValueError):
-        eval_drift(g, np.zeros(2))
+        euler_paths_batch(g, np.zeros((1, 4, 2)))
     with pytest.raises(ValueError):
-        eval_diffusion(g, np.zeros(3))
+        euler_paths_batch(preset("linear2d"), np.zeros((1, 4, 1)))
 
 
 def test_coefficient_evaluation_counter():
-    g = preset("gbm")
+    # one drift and one diffusion evaluation per path and step
     ledger = CostLedger()
-    eval_drift(g, np.array([1.0]), ledger)
-    eval_diffusion(g, np.array([1.0]), ledger)
+    euler_paths_batch(preset("gbm"), np.zeros((1, 1, 1)), ledger)
     assert ledger.coeff_evals == 2
-    eval_drift(g, np.ones((5, 1)), ledger)
-    assert ledger.coeff_evals == 7
+    euler_paths_batch(preset("linear2d"), np.zeros((5, 3, 2)), ledger)
+    assert ledger.coeff_evals == 2 + 2 * 5 * 3
 
 
 def test_zero_noise_debug_problem():
     p = make_zero_noise()
-    assert np.all(eval_drift(p, np.array([3.0])) == 0)
-    assert np.all(eval_diffusion(p, np.array([3.0])) == 0)
+    assert np.all(p.drift(np.array([3.0])) == 0)
+    assert np.all(p.diffusion(np.array([3.0])) == 0)
 
 
 def test_make_gbm_custom_parameters():
     p = make_gbm(0.0, 1.0, 1.0)
-    assert eval_drift(p, np.array([5.0]))[0] == 0.0
-    assert eval_diffusion(p, np.array([5.0]))[0, 0] == 5.0
+    assert p.drift(np.array([5.0]))[0] == 0.0
+    assert p.diffusion(np.array([5.0]))[0, 0] == 5.0
     assert p.gamma == 1.0
