@@ -36,10 +36,10 @@ def logarithmic_outputs(g: np.ndarray, q: int) -> np.ndarray:
     index i selects generator row bit_j(i) in slot j (bit 0 = slot 0)."""
     n = g.shape[-2]
     idx = np.arange(1 << n, dtype=np.int64)
-    choice = (idx[:, None] >> np.arange(n)) & 1  # (2^n, n)
-    picked = np.where(choice[:, :, None] == 0, g[..., 0, None, :, :],
-                      g[..., 1, None, :, :])
-    return (picked.sum(axis=-2) + n - 1) % (1 << q)
+    out = np.zeros(g.shape[:-3] + (1 << n, g.shape[-1]), dtype=np.int64)
+    for j in range(n):  # slot by slot: no (..., 2^n, n, d) temporary
+        out += g[..., (idx >> j) & 1, j, :]
+    return (out + n - 1) % (1 << q)
 
 
 def _all_outputs(n: int, q: int, variant: str) -> np.ndarray:

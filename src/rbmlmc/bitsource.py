@@ -7,7 +7,8 @@ chunked, and distinct stream_ids give independent-looking substreams.
 
 Dyadic uniforms live on the grid of cell midpoints
 {sum_i b_i 2^-i + 2^-(q+1) : b_i in {0,1}}, i.e. (numerator + 1/2) / 2^q
-with numerator assembled most-significant-bit first from q fresh bits.
+with numerator assembled most-significant-bit first from q fresh bits,
+read whole-array straight out of the 64-bit blocks.
 enumerate_numerators applies the same reading to every bit string at once,
 which is the ground truth of the exact enumeration checks.
 """
@@ -63,14 +64,25 @@ class BitSource:
         return bits[off:off + n]
 
     def draw_dyadic_numerators(self, q: int, shape) -> np.ndarray:
-        """Array of independent q-bit numerators; consumes q*prod(shape) bits."""
-        if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
+        """Array of independent q-bit numerators; consumes q*prod(shape) bits.
+
+        Numerator j is the q-bit field at the j*q-th next stream position,
+        most significant bit first, cut from the two 64-bit blocks it may
+        straddle (one extra block is fetched; a shift by 64 gives 0).
+        """
+        if not 1 <= q <= 63:
+            raise ValueError(f"q must lie in 1..63, got {q}")
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         total = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        bits = self.draw_bits(total * q).reshape(total, q).astype(np.int64)
-        weights = (1 << np.arange(q - 1, -1, -1, dtype=np.int64))
-        return (bits @ weights).reshape(shape)
+        first, off = divmod(self.bits_consumed, 64)
+        blk = self._blocks(first, (off + total * q - 1) // 64 + 2)
+        s = np.arange(off, off + total * q, q, dtype=np.uint64)
+        r = s & np.uint64(63)
+        s >>= np.uint64(6)
+        words = blk[s] << r
+        words |= blk[s + 1] >> (np.uint64(64) - r)
+        self.bits_consumed += total * q
+        return (words >> np.uint64(64 - q)).astype(np.int64).reshape(shape)
 
     def draw_dyadic_values(self, q: int, shape) -> np.ndarray:
         """Array of independent dyadic uniforms in (0,1) at depth q."""

@@ -67,6 +67,8 @@ def cmd_run(args) -> int:
     if any(e is None for e in eps_values):
         raise ValueError("provide --eps or --eps-grid")
     seeds = _parse_seeds(args.seeds)
+    if not seeds:
+        raise ValueError("provide at least one seed in --seeds")
     schedules = [(eps, mlmc.params_for_eps(eps, args.variant))
                  for eps in sorted(eps_values, reverse=True)]
     out, close = _open_out(args.out)
@@ -104,6 +106,9 @@ def cmd_strong_error(args) -> int:
                         ("--q-min", args.q_min), ("--m-min", args.m_min)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    if not args.q_min <= args.q_max <= 52:  # (k+1/2)/2^q is exact to q = 52
+        raise ValueError("need --q-min <= --q-max <= 52, got "
+                         f"{args.q_min}, {args.q_max}")
     if args.mode in ("discretization", "both") and args.sde != "gbm":
         raise ValueError("discretization mode uses the gbm closed form")
     out, close = _open_out(args.out)
@@ -140,7 +145,12 @@ _DEFAULT_CHECKS = (("quadratic", 2, 1), ("quadratic", 2, 2),
 
 
 def cmd_bakhvalov_check(args) -> int:
-    if args.n is not None and args.q is not None:
+    if (args.n is None) != (args.q is None):
+        raise ValueError("give both --n and --q, or neither")
+    if args.n is not None:
+        # n < 1 has no generators and q < 1 a one-atom grid: a vacuous PASS
+        if min(args.n, args.q) < 1:
+            raise ValueError(f"need --n, --q >= 1, got {args.n}, {args.q}")
         checks = [(args.variant, args.n, args.q)]
     else:
         checks = list(_DEFAULT_CHECKS)

@@ -12,7 +12,8 @@ import numpy as np
 
 from .bitsource import BitSource
 from .ledger import CostLedger
-from .qnormal import normal_quantile, quantize_normal
+# normal_quantile is unused here but stays bound: benchmark tracers patch it.
+from .qnormal import normal_quantile, quantize_normal, quantized_normals
 from .sde import SDEProblem
 
 
@@ -56,10 +57,10 @@ def bit_increments(src: BitSource, m: int, q: int, d: int,
         raise ValueError("m must be >= 1")
     shape = (m, d) if n is None else (n, m, d)
     before = src.bits_consumed
-    u = src.draw_dyadic_values(q, shape)
+    nums = src.draw_dyadic_numerators(q, shape)
     if ledger is not None:
         ledger.bit_count += src.bits_consumed - before
-    return normal_quantile(u) / math.sqrt(m)
+    return quantized_normals(nums, q) / math.sqrt(m)
 
 
 def coarse_from_fine(increments: np.ndarray) -> np.ndarray:

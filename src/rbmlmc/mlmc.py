@@ -32,7 +32,8 @@ from .euler import (bit_increments, classical_increments, coarse_from_fine,
                     euler_paths_batch)
 from .functionals import Functional
 from .ledger import CostLedger
-from .qnormal import normal_quantile
+# normal_quantile is unused here but stays bound: benchmark tracers patch it.
+from .qnormal import normal_quantile, quantized_normals
 from .sde import SDEProblem
 
 VARIANTS = ("classical", "bit", "bbit", "bbit_log")
@@ -138,23 +139,22 @@ def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
     before = src.bits_consumed
     if params.variant == "bit":
         return bit_increments(src, m, q, d, n=N, ledger=ledger)
+    # Generators are drawn time index first; folding time into the
+    # coordinate axis combines every time index in one call.
     if params.variant == "bbit":
         n = params.n[level]
         g = src.draw_dyadic_numerators(q, (m, 2 * n, d))
-        nums = np.stack([quadratic_outputs(g[k, :n], g[k, n:], q)[:N]
-                         for k in range(m)], axis=1)  # (N, m, d)
-    else:  # bbit_log
-        nh = params.nhat[level]
-        if N == 1:
-            nums = src.draw_dyadic_numerators(q, (1, m, d))
-        else:
-            nh = int(nh)
-            g = src.draw_dyadic_numerators(q, (m, 2, nh, d))
-            nums = np.stack([logarithmic_outputs(g[k], q)[:N]
-                             for k in range(m)], axis=1)
+        g = np.moveaxis(g, 0, 1).reshape(2 * n, m * d)
+        nums = quadratic_outputs(g[:n], g[n:], q)[:N].reshape(N, m, d)
+    elif N == 1:  # bbit_log
+        nums = src.draw_dyadic_numerators(q, (1, m, d))
+    else:
+        nh = int(params.nhat[level])
+        g = src.draw_dyadic_numerators(q, (m, 2, nh, d))
+        g = np.moveaxis(g, 0, 2).reshape(2, nh, m * d)
+        nums = logarithmic_outputs(g, q)[:N].reshape(N, m, d)
     ledger.bit_count += src.bits_consumed - before
-    u = (nums + 0.5) / 2.0 ** q
-    return normal_quantile(u) / math.sqrt(m)
+    return quantized_normals(nums, q) / math.sqrt(m)
 
 
 def run(p: SDEProblem, f: Functional, params: MLMCParams,

@@ -7,6 +7,7 @@ over the 2^q atoms quantile((k + 1/2) / 2^q), k = 0..2^q-1, so q fair bits
 suffice to sample it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,12 +90,26 @@ def quantize_normal(y, q: int):
         raise ValueError(f"q must be >= 1, got {q}")
     scalar = np.isscalar(y)
     arr = np.asarray(y, dtype=float)
-    k = _round_numerators(ndtr(arr), q)
-    z = normal_quantile((k + 0.5) / 2.0 ** q)
+    z = quantized_normals(_round_numerators(ndtr(arr), q), q)
     return float(z) if scalar else z
 
 
 _MAX_GRID_Q = 20
+
+
+@functools.cache
+def _atom_table(q: int) -> np.ndarray:
+    atoms = grid_atoms(q)
+    atoms.flags.writeable = False
+    return atoms
+
+
+def quantized_normals(nums, q: int) -> np.ndarray:
+    """Atoms quantile((k + 1/2) / 2^q) at numerators k: for q <= 20 a lookup
+    into the cached grid_atoms(q) table (the same floats), else the formula."""
+    if q <= _MAX_GRID_Q:
+        return _atom_table(q)[nums]
+    return normal_quantile((nums + 0.5) / 2.0 ** q)
 
 
 @dataclass(frozen=True)

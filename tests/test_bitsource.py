@@ -105,3 +105,34 @@ def test_enumeration_reads_bits_like_draws():
     assert enumerate_numerators(2, 2)[0b1001].tolist() == [2, 1]
     with pytest.raises(FeasibilityError):
         enumerate_numerators(5, 5)
+
+
+@given(offset=st.integers(0, 200), q=st.integers(1, 63),
+       count=st.integers(1, 300), seed=st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_numerators_cut_from_words_match_bits(offset, q, count, seed):
+    # fields are cut from 64-bit words; the reference reads the same stream
+    # positions one bit at a time, most significant bit first
+    src = BitSource(seed, 5)
+    src.draw_bits(offset)
+    nums = src.draw_dyadic_numerators(q, count)
+    assert src.bits_consumed == offset + count * q
+    assert nums.dtype == np.int64 and nums.shape == (count,)
+    bits = BitSource(seed, 5).draw_bits(offset + count * q)[offset:]
+    expected = [int("".join(map(str, bits[j * q:(j + 1) * q])), 2)
+                for j in range(count)]
+    assert [int(k) for k in nums] == expected
+
+
+def test_numerators_straddling_words_and_depth_cap():
+    src = BitSource(3, 1)
+    src.draw_bits(60)  # the first 63-bit field spans blocks 0 and 1
+    nums = src.draw_dyadic_numerators(63, (2, 2))
+    bits = BitSource(3, 1).draw_bits(60 + 4 * 63)[60:]
+    assert nums.ravel().tolist() == [
+        int("".join(map(str, bits[j * 63:(j + 1) * 63])), 2)
+        for j in range(4)]
+    assert src.bits_consumed == 60 + 4 * 63
+    with pytest.raises(ValueError):
+        src.draw_dyadic_numerators(64, 1)
+    assert src.bits_consumed == 60 + 4 * 63

@@ -103,6 +103,13 @@ BAD_CONFIGS = [
     ["strong-error", "--mode", "discretization", "--m-min", "0", "--m-max",
      "4", "--reps", "10"],
     ["oracle", "--m", "2", "--q", "1", "--mc-reps", "10", "--seed", "-1"],
+    ["strong-error", "--q-max", "64"],
+    ["strong-error", "--q-min", "5", "--q-max", "4"],
+    ["bakhvalov-check", "--n", "2", "--q", "0"],
+    ["bakhvalov-check", "--n", "0", "--q", "1"],
+    ["bakhvalov-check", "--n", "3"],
+    ["run", "--variant", "bit", "--eps", "0.25", "--seeds", ""],
+    ["run", "--variant", "bit", "--eps", "0.25", "--seeds", ","],
 ]
 
 

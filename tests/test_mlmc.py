@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from rbmlmc.bakhvalov import logarithmic_outputs, quadratic_outputs
+from rbmlmc.bitsource import BitSource
 from rbmlmc.functionals import make_constant, preset_functional
-from rbmlmc.mlmc import (MLMCParams, bit_count_formula, bitcount_bound_check,
-                         coin_count_formula, info_cost_formula, params_for_eps,
-                         run, work_model)
+from rbmlmc.ledger import CostLedger
+from rbmlmc.mlmc import (MLMCParams, _level_increments, bit_count_formula,
+                         bitcount_bound_check, coin_count_formula,
+                         info_cost_formula, params_for_eps, run, work_model)
+from rbmlmc.qnormal import normal_quantile
 from rbmlmc.sde import make_gbm, make_zero_noise, preset
 
 EPS = 0.25  # eps^-2 = 16, log2 = 4: L = 4 + ceil(log2 4) = 6
@@ -142,3 +148,41 @@ def test_bitcount_bound_check_needs_grid():
         bitcount_bound_check([0.25, 0.125])
     with pytest.raises(ValueError):
         bitcount_bound_check([0.9, 0.25, 0.125, 0.0625, 0.03125])
+
+
+def _per_step_increments(p, params, level, seed):
+    """Reference: one combiner call per time index, stacked on axis 1, and
+    the quantile formula; returns the increments and the bits drawn."""
+    m, N, q, d = 1 << level, params.N[level], params.q, p.d
+    src = BitSource(seed, stream_id=level)
+    if params.variant == "bbit":
+        n = params.n[level]
+        g = src.draw_dyadic_numerators(q, (m, 2 * n, d))
+        nums = np.stack([quadratic_outputs(g[k, :n], g[k, n:], q)[:N]
+                         for k in range(m)], axis=1)
+    elif N == 1:
+        nums = src.draw_dyadic_numerators(q, (1, m, d))
+    else:
+        g = src.draw_dyadic_numerators(q, (m, 2, int(params.nhat[level]), d))
+        nums = np.stack([logarithmic_outputs(g[k], q)[:N]
+                         for k in range(m)], axis=1)
+    v = normal_quantile((nums + 0.5) / 2.0 ** q) / math.sqrt(m)
+    return v, src.bits_consumed
+
+
+@pytest.mark.parametrize("params", [
+    params_for_eps(0.125, "bbit"), params_for_eps(0.125, "bbit_log"),
+    MLMCParams(variant="bbit", L=2, N=(5, 1, 3), q=5, n=(3, 1, 2)),
+    MLMCParams(variant="bbit_log", L=2, N=(5, 1, 3), q=5,
+               nhat=(3.0, 0.5, 2.0))], ids=lambda p: p.variant)
+def test_one_combine_per_level_matches_per_step_combines(params):
+    # time is folded into the coordinate axis (d = 2 here), so one combiner
+    # call per level must give the per-time-index outputs bit for bit
+    p = preset("linear2d")
+    for level in range(params.L + 1):
+        ledger = CostLedger()
+        got = _level_increments(p, params, level, 7, ledger)
+        want, bits = _per_step_increments(p, params, level, 7)
+        assert got.shape == (params.N[level], 1 << level, 2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert ledger.bit_count == bits

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from rbmlmc.bitsource import BitSource
 from rbmlmc.errors import FeasibilityError
 from rbmlmc.euler import bit_increments
-from rbmlmc.qnormal import (exact_grid_moments, grid_atoms, normal_cdf,
-                            normal_quantile, quantize_normal)
+from rbmlmc.qnormal import (_atom_table, exact_grid_moments, grid_atoms,
+                            normal_cdf, normal_quantile, quantize_normal,
+                            quantized_normals)
 
 # Reference CDF values frozen from a 30-digit mpmath computation.
 CDF_REFS = {
@@ -168,3 +169,20 @@ def test_quantization_rms_decay_ratio():
 
     for q in (2, 4, 6, 8):
         assert rms(q) / rms(q + 2) >= 1.7
+
+
+def test_atom_table_equals_formula_bitwise():
+    rng = np.random.default_rng(2026)
+    for q in range(1, 22):  # q = 21 takes the formula path
+        for shape in ((1000,), (4, 5, 3)):
+            k = rng.integers(0, 1 << q, size=shape)
+            got = quantized_normals(k, q)
+            want = normal_quantile((k + 0.5) / 2 ** q)
+            assert got.shape == shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the cached table is built once per q and cannot be written through
+    table = _atom_table(3)
+    assert _atom_table(3) is table
+    assert np.array_equal(table, grid_atoms(3))
+    with pytest.raises(ValueError):
+        table[0] = 0.0
