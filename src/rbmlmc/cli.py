@@ -7,7 +7,10 @@ vs. Monte Carlo), cost-report (schedule bit counts and ratio bands).
 Output is RFC-4180-style CSV with '.' decimals. All results are a pure
 function of the configuration; --threads is accepted for interface
 stability but the vectorized execution gives identical output for any
-value. Exit codes: 0 success, 2 configuration error, 3 feasibility error.
+value. Exit codes: 0 success, 2 configuration error, 3 feasibility error
+(an enumeration over its cap, or an allocation that fails). The CSV
+commands compute every row before writing any, so an error leaves no
+partial output.
 """
 
 import argparse
@@ -21,6 +24,7 @@ import numpy as np
 from . import bakhvalov, euler, functionals, mlmc, oracle, sde
 from .bitsource import BitSource
 from .errors import FeasibilityError
+from .qnormal import MAX_DEPTH
 
 
 def _parse_seed(value) -> int:
@@ -48,10 +52,14 @@ def _parse_grid(text: str) -> list[float]:
     return out
 
 
-def _open_out(path):
+def _write_csv(path, header, rows) -> None:
+    """Write a finished table. Callers compute every row first, so an error
+    leaves no partial output."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        csv.writer(sys.stdout).writerows([header] + rows)
+        return
+    with open(path, "w", newline="") as out:
+        csv.writer(out).writerows([header] + rows)
 
 
 def _functional_for(args, problem):
@@ -71,30 +79,25 @@ def cmd_run(args) -> int:
         raise ValueError("provide at least one seed in --seeds")
     schedules = [(eps, mlmc.params_for_eps(eps, args.variant))
                  for eps in sorted(eps_values, reverse=True)]
-    out, close = _open_out(args.out)
-    try:
-        w = csv.writer(out)
-        w.writerow(["variant", "eps", "seed", "estimate", "L", "q",
-                    "level_means", "level_vars", "info_cost", "bit_count",
-                    "coin_count", "wall_time_ms"])
-        for eps, params in schedules:
-            for seed in seeds:
-                t0 = time.perf_counter()
-                rep = mlmc.run(problem, f, params, seed)
-                ms = (time.perf_counter() - t0) * 1e3
-                w.writerow([
-                    args.variant, repr(eps), seed, repr(rep.estimate),
-                    params.L, params.q if params.q is not None else "",
-                    ";".join(repr(s.mean) for s in rep.levels),
-                    ";".join(repr(s.variance) for s in rep.levels),
-                    rep.ledger.info_cost, rep.ledger.bit_count,
-                    rep.ledger.coin_count,
-                    # real timing only on request so output stays reproducible
-                    f"{ms:.3f}" if args.timing else "0",
-                ])
-    finally:
-        if close:
-            out.close()
+    rows = []
+    for eps, params in schedules:
+        for seed in seeds:
+            t0 = time.perf_counter()
+            rep = mlmc.run(problem, f, params, seed)
+            ms = (time.perf_counter() - t0) * 1e3
+            rows.append([
+                args.variant, repr(eps), seed, repr(rep.estimate),
+                params.L, params.q if params.q is not None else "",
+                ";".join(repr(s.mean) for s in rep.levels),
+                ";".join(repr(s.variance) for s in rep.levels),
+                rep.ledger.info_cost, rep.ledger.bit_count,
+                rep.ledger.coin_count,
+                # real timing only on request so output stays reproducible
+                f"{ms:.3f}" if args.timing else "0",
+            ])
+    _write_csv(args.out, ["variant", "eps", "seed", "estimate", "L", "q",
+                          "level_means", "level_vars", "info_cost",
+                          "bit_count", "coin_count", "wall_time_ms"], rows)
     return 0
 
 
@@ -106,36 +109,31 @@ def cmd_strong_error(args) -> int:
                         ("--q-min", args.q_min), ("--m-min", args.m_min)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
-    if not args.q_min <= args.q_max <= 52:  # (k+1/2)/2^q is exact to q = 52
-        raise ValueError("need --q-min <= --q-max <= 52, got "
+    if not args.q_min <= args.q_max <= MAX_DEPTH:
+        raise ValueError(f"need --q-min <= --q-max <= {MAX_DEPTH}, got "
                          f"{args.q_min}, {args.q_max}")
     if args.mode in ("discretization", "both") and args.sde != "gbm":
         raise ValueError("discretization mode uses the gbm closed form")
-    out, close = _open_out(args.out)
-    try:
-        w = csv.writer(out)
-        w.writerow(["mode", "sde", "m", "q", "mean_sq_sup_distance",
-                    "replications"])
-        if args.mode in ("quantization", "both"):
-            problem = sde.preset(args.sde)
-            for q in range(args.q_min, args.q_max + 1):
-                msd = euler.bit_vs_classical_sup_sq(
-                    problem, args.m, q, args.reps, seed)
-                w.writerow(["quantization", args.sde, args.m, q, repr(msd),
-                            args.reps])
-        if args.mode in ("discretization", "both"):
-            g = sde.preset("gbm")
-            m = args.m_min
-            while m <= args.m_max:
-                msd = euler.gbm_strong_error_vs_exact(
-                    g.params["mu"], g.params["sigma"], float(g.x0[0]),
-                    m, args.reps, seed)
-                w.writerow(["discretization", "gbm", m, "", repr(msd),
-                            args.reps])
-                m *= 2
-    finally:
-        if close:
-            out.close()
+    rows = []
+    if args.mode in ("quantization", "both"):
+        problem = sde.preset(args.sde)
+        for q in range(args.q_min, args.q_max + 1):
+            msd = euler.bit_vs_classical_sup_sq(
+                problem, args.m, q, args.reps, seed)
+            rows.append(["quantization", args.sde, args.m, q, repr(msd),
+                         args.reps])
+    if args.mode in ("discretization", "both"):
+        g = sde.preset("gbm")
+        m = args.m_min
+        while m <= args.m_max:
+            msd = euler.gbm_strong_error_vs_exact(
+                g.params["mu"], g.params["sigma"], float(g.x0[0]),
+                m, args.reps, seed)
+            rows.append(["discretization", "gbm", m, "", repr(msd),
+                         args.reps])
+            m *= 2
+    _write_csv(args.out, ["mode", "sde", "m", "q", "mean_sq_sup_distance",
+                          "replications"], rows)
     return 0
 
 
@@ -169,8 +167,8 @@ def cmd_oracle(args) -> int:
     problem = sde.preset(args.sde)
     f = _functional_for(args, problem)
     seed = _parse_seed(args.seed)
-    # Everything is computed before the output is opened, so a
-    # configuration or feasibility error leaves no partial CSV.
+    if args.mc_reps < 0:
+        raise ValueError(f"--mc-reps must be >= 0, got {args.mc_reps}")
     if args.kind == "expectation":
         mean, var = oracle.exact_expectation_bit_euler(
             problem, f, args.m, args.q)
@@ -192,46 +190,33 @@ def cmd_oracle(args) -> int:
         sigma = math.sqrt(var / args.mc_reps) if var > 0 else 0.0
         z = repr((mc_mean - mean) / sigma if sigma > 0 else 0.0)
         mc_mean = repr(mc_mean)
-    out, close = _open_out(args.out)
-    try:
-        w = csv.writer(out)
-        w.writerow(["sde", "functional", "kind", "m", "q", "oracle_mean",
-                    "oracle_var", "mc_mean", "mc_reps", "z_score"])
-        w.writerow([args.sde, f.label, args.kind, args.m, args.q,
-                    repr(mean), repr(var), mc_mean, args.mc_reps or "", z])
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, ["sde", "functional", "kind", "m", "q",
+                          "oracle_mean", "oracle_var", "mc_mean", "mc_reps",
+                          "z_score"],
+               [[args.sde, f.label, args.kind, args.m, args.q, repr(mean),
+                 repr(var), mc_mean, args.mc_reps or "", z]])
     return 0
 
 
 def cmd_cost_report(args) -> int:
     eps_values = _parse_grid(args.eps_grid)
     table = mlmc.bitcount_bound_check(eps_values, d=args.d)
-    out, close = _open_out(args.out)
-    try:
-        w = csv.writer(out)
-        w.writerow(["eps", "L", "q", "bits_bit", "bits_bbit", "bits_bbit_log",
-                    "info_cost", "work_classical", "work_bit", "work_bbit",
-                    "ratio_bbit", "ratio_bbit_log"])
-        for row in table.rows:
-            pc = mlmc.params_for_eps(row.epsilon, "classical")
-            pb = mlmc.params_for_eps(row.epsilon, "bit")
-            pq = mlmc.params_for_eps(row.epsilon, "bbit")
-            w.writerow([repr(row.epsilon), pb.L, pb.q, row.bits_bit,
-                        row.bits_bbit, row.bits_bbit_log,
-                        mlmc.info_cost_formula(pc),
-                        mlmc.work_model(pc, args.d),
-                        mlmc.work_model(pb, args.d),
-                        mlmc.work_model(pq, args.d),
-                        repr(row.ratio_bbit), repr(row.ratio_bbit_log)])
-        w.writerow(["band_bbit", repr(table.band_bbit), "", "", "", "", "",
-                    "", "", "", "", ""])
-        w.writerow(["band_bbit_log", repr(table.band_bbit_log), "", "", "",
-                    "", "", "", "", "", "", ""])
-    finally:
-        if close:
-            out.close()
+    rows = []
+    for row in table.rows:
+        pc = mlmc.params_for_eps(row.epsilon, "classical")
+        pb = mlmc.params_for_eps(row.epsilon, "bit")
+        pq = mlmc.params_for_eps(row.epsilon, "bbit")
+        rows.append([repr(row.epsilon), pb.L, pb.q, row.bits_bit,
+                     row.bits_bbit, row.bits_bbit_log,
+                     mlmc.info_cost_formula(pc), mlmc.work_model(pc, args.d),
+                     mlmc.work_model(pb, args.d), mlmc.work_model(pq, args.d),
+                     repr(row.ratio_bbit), repr(row.ratio_bbit_log)])
+    rows.append(["band_bbit", repr(table.band_bbit)] + [""] * 10)
+    rows.append(["band_bbit_log", repr(table.band_bbit_log)] + [""] * 10)
+    _write_csv(args.out, ["eps", "L", "q", "bits_bit", "bits_bbit",
+                          "bits_bbit_log", "info_cost", "work_classical",
+                          "work_bit", "work_bbit", "ratio_bbit",
+                          "ratio_bbit_log"], rows)
     return 0
 
 
@@ -322,6 +307,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FeasibilityError as exc:
         print(f"feasibility error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a schedule too large for this machine, e.g. 38 PiB of normals
+        print(f"feasibility error: out of memory: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,6 +7,8 @@ of the SAME fine increments, so a coupled pair costs no extra randomness.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -14,7 +16,19 @@ from .bitsource import BitSource
 from .ledger import CostLedger
 # normal_quantile is unused here but stays bound: benchmark tracers patch it.
 from .qnormal import normal_quantile, quantize_normal, quantized_normals
-from .sde import SDEProblem
+from .sde import SDEProblem, make_gbm
+
+
+# Batches of n <= _SCAN_WIDTH * m paths take the blocked affine scan, wider
+# ones the sequential loop. The width comes from per-shape timings: for gbm
+# the scan wins up to n/m of about 16 (1.4x at n = 2176, m = 256) and the
+# loop beyond (1.4x at n = 10,000, m = 256); for linear2d the scan wins at
+# almost every shape. 8 keeps a margin from the gbm crossover. The scan
+# works through time chunks of T steps, T the largest power of two with
+# n * T <= _SCAN_ELEMS, which bounds its scratch memory per call (under
+# 10 MB for d = r = 2).
+_SCAN_WIDTH = 8
+_SCAN_ELEMS = 1 << 16
 
 
 def euler_paths_batch(p: SDEProblem, increments: np.ndarray,
@@ -27,14 +41,71 @@ def euler_paths_batch(p: SDEProblem, increments: np.ndarray,
     out = np.empty((n, m + 1, p.r), dtype=float)
     x = np.broadcast_to(p.x0, (n, p.r)).copy()
     out[:, 0, :] = x
-    for k in range(m):
-        a = p.drift(x)
-        b = p.diffusion(x)
-        x = x + a / m + np.einsum("nrd,nd->nr", b, increments[:, k, :])
-        out[:, k + 1, :] = x
+    if n <= _SCAN_WIDTH * m:
+        _affine_scan(p, increments, out)
+    else:
+        for k in range(m):
+            # x + a(x)/m + b(x) dW_k, summed in place into the fresh drift
+            # array (the same floats as without the in-place updates)
+            step = p.drift(x)
+            step /= m
+            step += x
+            step += np.einsum("nrd,nd->nr", p.diffusion(x),
+                              increments[:, k, :])
+            x = step
+            out[:, k + 1, :] = x
     if ledger is not None:
         ledger.coeff_evals += 2 * n * m
     return out
+
+
+def _affine_scan(p: SDEProblem, increments: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Fill out[:, 1:] from out[:, 0] with the Euler step written as an
+    affine map x_{k+1} = M_k x_k + c_k, M_k = I + A/m + sum_j B[:, j] dW_kj,
+    c_k = a0/m + b0 dW_k. Each time chunk is split into blocks of about
+    sqrt(T) steps: prefix maps are composed inside every block at once, the
+    block start states are carried across blocks, and then every state is
+    filled in. That is about 2 sqrt(T) Python iterations per chunk instead
+    of T. Floats are reassociated, so states agree with the loop to about
+    T * 1e-16 relative, not bitwise. Map components lead the arrays
+    (M: (r, r, step, path, block), c: (r, step, path, block)) and products
+    are summed over components one by one: numpy is slow on many tiny
+    matrices.
+    """
+    n, m, d = increments.shape
+    comps = range(p.r)
+    chunk = 1 << max(0, (_SCAN_ELEMS // max(n, 1)).bit_length() - 1)
+    I_A = (np.eye(p.r) + p.A / m)[:, :, None, None, None]
+    a0 = (p.a0 / m)[:, None, None, None]
+    for k0 in range(0, m, chunk):
+        t = min(chunk, m - k0)
+        s = 1 << (t.bit_length() // 2)          # steps per block
+        nb = -(-t // s)                          # blocks in the chunk
+        # dw: (d, s, n, nb). Padding steps only follow the chunk's last
+        # state, so they change nothing that is kept.
+        dw = np.zeros((n, nb * s, d))
+        dw[:, :t] = increments[:, k0:k0 + t]
+        dw = dw.reshape(n, nb, s, d).transpose(3, 2, 0, 1).copy()
+        M = I_A + reduce(add, (p.B[:, j, :, None, None, None] * dw[j]
+                                for j in range(d)))
+        c = a0 + reduce(add, (p.b0[:, j, None, None, None] * dw[j]
+                               for j in range(d)))
+        # in-block prefix maps: M_j <- M_j M_{j-1}, c_j <- M_j c_{j-1} + c_j
+        for j in range(1, s):
+            mj = M[:, :, j]
+            c[:, j] += reduce(add, (mj[:, k] * c[k, j - 1] for k in comps))
+            M[:, :, j] = reduce(add, (mj[:, k, None] * M[k, :, j - 1]
+                                      for k in comps))
+        # block start states xs: (r, n, nb)
+        xs = np.empty((p.r, n, nb))
+        xs[:, :, 0] = out[:, k0].T
+        for b in range(1, nb):
+            xs[:, :, b] = c[:, -1, :, b - 1] + reduce(add, (
+                M[:, k, -1, :, b - 1] * xs[k, :, b - 1] for k in comps))
+        x = c + reduce(add, (M[:, k] * xs[k] for k in comps))  # (r, s, n, nb)
+        out[:, k0 + 1:k0 + 1 + t] = \
+            x.transpose(2, 3, 1, 0).reshape(n, nb * s, p.r)[:, :t]
 
 
 def classical_increments(rng: np.random.Generator, m: int, d: int,
@@ -45,7 +116,7 @@ def classical_increments(rng: np.random.Generator, m: int, d: int,
         raise ValueError("m must be >= 1")
     shape = (m, d) if n is None else (n, m, d)
     if ledger is not None:
-        ledger.coin_count += int(np.prod(shape, dtype=np.int64))
+        ledger.coin_count += math.prod(shape)
     return rng.standard_normal(shape) / math.sqrt(m)
 
 
@@ -97,6 +168,11 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, q: int, reps: int,
     return float(np.mean(sup_distance_batch(a, b) ** 2))
 
 
+# Replications per block of gbm_strong_error_vs_exact: its arrays are
+# (block, 16 m + 1), so memory does not grow with the replication count.
+_STRONG_BLOCK = 32
+
+
 def gbm_strong_error_vs_exact(mu: float, sigma: float, x0: float, m: int,
                               reps: int, seed: int,
                               refine: int = 16) -> float:
@@ -106,25 +182,29 @@ def gbm_strong_error_vs_exact(mu: float, sigma: float, x0: float, m: int,
     The "exact" path is the closed-form solution evaluated on a refine-times
     finer grid from refined increments; the remaining discretization of the
     sup introduces a bias of order (m*refine)^-1/2, well below the m^-1/2
-    Euler error for the refine used here.
+    Euler error for the refine used here. Replications are drawn in order
+    in blocks of _STRONG_BLOCK, and their squared sups are summed in block
+    order.
     """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, m], dtype=np.uint64)))
+    p = make_gbm(mu, sigma, x0)
     mf = m * refine
-    dw = rng.standard_normal((reps, mf)) / math.sqrt(mf)
-    w = np.concatenate([np.zeros((reps, 1)), np.cumsum(dw, axis=1)], axis=1)
     t = np.arange(mf + 1) / mf
-    exact = x0 * np.exp((mu - 0.5 * sigma * sigma) * t + sigma * w)
-    v = dw.reshape(reps, m, refine).sum(axis=2)
-    x = np.empty((reps, m + 1))
-    x[:, 0] = x0
-    for k in range(m):
-        x[:, k + 1] = x[:, k] * (1.0 + mu / m + sigma * v[:, k])
     # Euler path linearly interpolated onto the fine grid.
     k_idx = np.minimum((t * m).astype(np.int64), m - 1)
     wgt = t * m - k_idx
-    euler_fine = (1.0 - wgt) * x[:, k_idx] + wgt * x[:, k_idx + 1]
-    return float(np.mean(np.max(np.abs(exact - euler_fine), axis=1) ** 2))
+    total = 0.0
+    for start in range(0, reps, _STRONG_BLOCK):
+        n = min(_STRONG_BLOCK, reps - start)
+        dw = rng.standard_normal((n, mf)) / math.sqrt(mf)
+        w = np.concatenate([np.zeros((n, 1)), np.cumsum(dw, axis=1)], axis=1)
+        exact = x0 * np.exp((mu - 0.5 * sigma * sigma) * t + sigma * w)
+        v = dw.reshape(n, m, refine, 1).sum(axis=2)
+        x = euler_paths_batch(p, v)[:, :, 0]
+        euler_fine = (1.0 - wgt) * x[:, k_idx] + wgt * x[:, k_idx + 1]
+        total += float(np.sum(np.max(np.abs(exact - euler_fine), axis=1) ** 2))
+    return total / reps
 
 
 def sup_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:

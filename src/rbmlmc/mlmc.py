@@ -33,7 +33,7 @@ from .euler import (bit_increments, classical_increments, coarse_from_fine,
 from .functionals import Functional
 from .ledger import CostLedger
 # normal_quantile is unused here but stays bound: benchmark tracers patch it.
-from .qnormal import normal_quantile, quantized_normals
+from .qnormal import MAX_DEPTH, normal_quantile, quantized_normals
 from .sde import SDEProblem
 
 VARIANTS = ("classical", "bit", "bbit", "bbit_log")
@@ -160,6 +160,9 @@ def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
 def run(p: SDEProblem, f: Functional, params: MLMCParams,
         seed: int) -> MLMCReport:
     """Evaluate the multilevel estimator; deterministic in (seed, params)."""
+    if params.q is not None and params.q > MAX_DEPTH:
+        raise ValueError(f"quantization depth q = {params.q} exceeds "
+                         f"{MAX_DEPTH}")
     ledger = CostLedger()
     levels = []
     estimate = 0.0

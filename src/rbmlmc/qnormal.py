@@ -95,6 +95,9 @@ def quantize_normal(y, q: int):
 
 
 _MAX_GRID_Q = 20
+# Midpoints (k+1/2)/2^q are exact in binary64 up to q = 52; deeper grids
+# mean nothing.
+MAX_DEPTH = 52
 
 
 @functools.cache

@@ -1,12 +1,13 @@
 """SDE problems dX = a(X) dt + b(X) dW on [0,1] with Lipschitz coefficients.
 
-Coefficients are vectorized: drift maps arrays of shape (..., r) to (..., r),
-diffusion maps (..., r) to (..., r, d). Presets are linear so terminal-value
-moments have closed forms usable as exact test targets.
+Every problem is affine and is given by its coefficient data: the drift is
+a(x) = A x + a0 and the diffusion is b(x)[i, j] = sum_l B[i, j, l] x_l +
+b0[i, j]. Coefficients are vectorized: drift maps arrays of shape (..., r)
+to (..., r), diffusion maps (..., r) to (..., r, d). Presets are linear so
+terminal-value moments have closed forms usable as exact test targets.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -17,8 +18,10 @@ class SDEProblem:
     r: int
     d: int
     x0: np.ndarray
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
+    A: np.ndarray    # (r, r) drift matrix
+    a0: np.ndarray   # (r,) drift offset
+    B: np.ndarray    # (r, d, r) diffusion slopes
+    b0: np.ndarray   # (r, d) diffusion offset
     gamma: float
     params: dict = field(default_factory=dict)
 
@@ -27,37 +30,42 @@ class SDEProblem:
             raise ValueError("state and driving dimensions must be >= 1")
         if not np.isfinite(self.gamma) or self.gamma < 0:
             raise ValueError("gamma must be finite and >= 0")
-        if np.shape(self.x0) != (self.r,):
-            raise ValueError(f"x0 must have shape ({self.r},)")
+        r, d = self.r, self.d
+        for name, shape in (("x0", (r,)), ("A", (r, r)), ("a0", (r,)),
+                            ("B", (r, d, r)), ("b0", (r, d))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+
+    def drift(self, x: np.ndarray) -> np.ndarray:
+        """A x + a0 for states x of shape (..., r)."""
+        return np.dot(x, self.A.T) + self.a0
+
+    def diffusion(self, x: np.ndarray) -> np.ndarray:
+        """B x + b0, shape (..., r, d), for states x of shape (..., r)."""
+        slopes = np.dot(x, self.B.reshape(self.r * self.d, self.r).T)
+        return slopes.reshape(x.shape[:-1] + (self.r, self.d)) + self.b0
+
+
+def _affine(label, x0, A, B, b0, gamma, params=None) -> SDEProblem:
+    A = np.array(A, dtype=float)
+    return SDEProblem(label=label, r=A.shape[0], d=np.shape(b0)[1],
+                      x0=np.array(x0, dtype=float), A=A,
+                      a0=np.zeros(A.shape[0]), B=np.array(B, dtype=float),
+                      b0=np.array(b0, dtype=float), gamma=gamma,
+                      params=params or {})
 
 
 def make_gbm(mu: float = 0.05, sigma: float = 0.2, x0: float = 1.0) -> SDEProblem:
     """Geometric Brownian motion dX = mu X dt + sigma X dW."""
-
-    def drift(x):
-        return mu * x
-
-    def diffusion(x):
-        return sigma * x[..., None]
-
-    return SDEProblem(label="gbm", r=1, d=1, x0=np.array([x0], dtype=float),
-                      drift=drift, diffusion=diffusion,
-                      gamma=max(abs(mu), abs(sigma)),
-                      params={"mu": mu, "sigma": sigma})
+    return _affine("gbm", [x0], [[mu]], [[[sigma]]], [[0.0]],
+                   gamma=max(abs(mu), abs(sigma)),
+                   params={"mu": mu, "sigma": sigma})
 
 
 def make_additive_noise() -> SDEProblem:
     """Ornstein-Uhlenbeck dX = -X dt + dW, x0 = 1."""
-
-    def drift(x):
-        return -x
-
-    def diffusion(x):
-        return np.ones(x.shape + (1,), dtype=float)
-
-    return SDEProblem(label="additive_noise", r=1, d=1,
-                      x0=np.array([1.0]), drift=drift, diffusion=diffusion,
-                      gamma=1.0)
+    return _affine("additive_noise", [1.0], [[-1.0]], [[[0.0]]], [[1.0]],
+                   gamma=1.0)
 
 
 _LIN2D_A = np.array([[-0.5, 0.1], [0.0, -0.3]])
@@ -66,35 +74,20 @@ _LIN2D_C = np.array([[0.3, 0.05], [0.0, 0.25]])
 
 def make_linear2d() -> SDEProblem:
     """2d linear system with constant-plus-diagonal-linear diffusion."""
-
-    def drift(x):
-        return x @ _LIN2D_A.T
-
-    def diffusion(x):
-        b = np.broadcast_to(_LIN2D_C, x.shape + (2,)).copy()
-        b[..., 0, 0] += 0.1 * x[..., 0]
-        b[..., 1, 1] += 0.1 * x[..., 1]
-        return b
-
-    # Drift Lipschitz constant is the spectral norm of the matrix (~0.52);
-    # the diffusion difference is 0.1*diag(x-y), Frobenius norm 0.1|x-y|.
+    # B[i, i, i] = 0.1: the diagonal of the diffusion grows with its own
+    # coordinate. Drift Lipschitz constant is the spectral norm of the
+    # matrix (~0.52); the diffusion difference is 0.1*diag(x-y), Frobenius
+    # norm 0.1|x-y|.
+    B = np.zeros((2, 2, 2))
+    B[0, 0, 0] = B[1, 1, 1] = 0.1
     gamma = float(np.linalg.norm(_LIN2D_A, 2))
-    return SDEProblem(label="linear2d", r=2, d=2, x0=np.array([1.0, 1.0]),
-                      drift=drift, diffusion=diffusion, gamma=gamma)
+    return _affine("linear2d", [1.0, 1.0], _LIN2D_A, B, _LIN2D_C, gamma)
 
 
 def make_zero_noise(x0: float = 1.0) -> SDEProblem:
     """Deterministic debug problem: zero drift and diffusion."""
-
-    def drift(x):
-        return np.zeros_like(x)
-
-    def diffusion(x):
-        return np.zeros(x.shape + (1,), dtype=float)
-
-    return SDEProblem(label="zero_noise", r=1, d=1,
-                      x0=np.array([x0]), drift=drift, diffusion=diffusion,
-                      gamma=0.0)
+    return _affine("zero_noise", [x0], [[0.0]], [[[0.0]]], [[0.0]],
+                   gamma=0.0)
 
 
 _PRESETS = {

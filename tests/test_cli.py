@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import io
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import rbmlmc
+from rbmlmc import functionals, sde
 from rbmlmc.cli import main
 
 
@@ -110,6 +115,8 @@ BAD_CONFIGS = [
     ["bakhvalov-check", "--n", "3"],
     ["run", "--variant", "bit", "--eps", "0.25", "--seeds", ""],
     ["run", "--variant", "bit", "--eps", "0.25", "--seeds", ","],
+    ["run", "--variant", "bit", "--eps", "1e-7", "--seeds", "0"],  # q = 53
+    ["oracle", "--m", "2", "--q", "1", "--mc-reps", "-1"],
 ]
 
 
@@ -125,6 +132,20 @@ def test_config_error_writes_nothing(args, capsys, tmp_path):
     assert not target.exists()
 
 
+def test_run_infeasible_schedule_exit_3(capsys, tmp_path):
+    # classical eps = 1e-7 asks for 38 PiB of level-0 normals: the
+    # allocation fails at once on any 64-bit machine
+    args = ["run", "--variant", "classical", "--eps", "1e-7", "--seeds", "0"]
+    code, out, err = run_cli(args + ["--out", "-"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("feasibility error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    target = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(target)], capsys)[0] == 3
+    assert not target.exists()
+
+
 def test_seed_range_ends_are_accepted(capsys):
     for variant in ("classical", "bit"):
         code, out, _ = run_cli(["run", "--variant", variant, "--eps", "0.25",
@@ -136,8 +157,8 @@ def test_seed_range_ends_are_accepted(capsys):
 def test_run_csv_matches_baseline_hashes(capsys):
     # sha256 prefixes of the committed baseline: any change to the arithmetic
     # or the CSV format of `run` shows here
-    expected = {"classical": "0648c7854c74c94d", "bit": "634fce302971ff59",
-                "bbit": "a9a014f74ed28d1b", "bbit-log": "444ea71fb2f3fe82"}
+    expected = {"classical": "32ecf65cd26f8001", "bit": "21806af706e9ddf5",
+                "bbit": "ffca1a1b6990d16d", "bbit-log": "c8dbf7009b01cf7e"}
     for variant, prefix in expected.items():
         code, out, _ = run_cli(["run", "--variant", variant, "--eps",
                                 "0.0625", "--seeds", "0,1,2", "--out", "-"],
@@ -229,8 +250,76 @@ def test_cost_report_small_grid_exit_2(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package under test, wherever pytest found it
+    src = os.path.dirname(os.path.dirname(rbmlmc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     r = subprocess.run([sys.executable, "-m", "rbmlmc.cli", "run",
                         "--variant", "bit", "--eps", "0.25", "--seeds", "0",
-                        "--out", "-"], capture_output=True, text=True)
+                        "--out", "-"], capture_output=True, text=True,
+                       env=env)
     assert r.returncode == 0
     assert r.stdout.splitlines()[0].startswith("variant,eps,seed")
+
+
+# CLI fuzz: small, bounded flag values, so every drawn command finishes in
+# well under a second; edge values sit on both sides of each check.
+_SEEDS = st.sampled_from(["0", "1,3", "-1", "", ",", "x",
+                          str(2 ** 64 - 1), str(2 ** 64)])
+_EPS = st.sampled_from(["nan", "inf", "-1", "0", "0.5", "0.3", "0.25",
+                        "1e-7", "1e-9"])
+_SDES = st.sampled_from(sde.preset_names())
+
+
+def _flags(**choices):
+    return st.tuples(*(st.tuples(st.just(f"--{k.replace('_', '-')}"), v)
+                       for k, v in choices.items()))
+
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just("run"), _flags(
+        variant=st.sampled_from(["classical", "bit", "bbit", "bbit-log"]),
+        sde=_SDES, eps=_EPS, seeds=_SEEDS,
+        functional=st.sampled_from(
+            functionals.preset_functional_names()))),
+    st.tuples(st.just("strong-error"), _flags(
+        mode=st.sampled_from(["quantization", "discretization", "both"]),
+        sde=_SDES, m=st.sampled_from(["0", "1", "3", "4"]),
+        q_min=st.sampled_from(["0", "1", "2", "52", "53"]),
+        q_max=st.sampled_from(["1", "2", "52", "53", "64"]),
+        m_min=st.sampled_from(["0", "1", "16"]),
+        m_max=st.sampled_from(["0", "4", "64"]),
+        reps=st.sampled_from(["-1", "0", "1", "3"]), seed=_SEEDS)),
+    st.tuples(st.just("oracle"), _flags(
+        sde=_SDES, kind=st.sampled_from(["expectation", "level-difference"]),
+        m=st.sampled_from(["-1", "0", "1", "2", "16"]),
+        q=st.sampled_from(["0", "1", "2", "21"]),
+        mc_reps=st.sampled_from(["-1", "0", "10"]), seed=_SEEDS)),
+    st.tuples(st.just("cost-report"), _flags(eps_grid=st.sampled_from(
+        ["0.25,0.125", "2^-2,2^-3,2^-4,2^-5,2^-6", "nan,1,2,3,4",
+         "2^-2,2^-3,2^-4,2^-5,1e-9", "2^-2^3,1,2,3,4", "x"]))),
+    st.tuples(st.just("bakhvalov-check"), _flags(
+        variant=st.sampled_from(["quadratic", "logarithmic"]),
+        # 2n generators of q bits: n = 13 is over the 24-bit cap at any q
+        n=st.sampled_from(["0", "1", "2", "13"]),
+        q=st.sampled_from(["0", "1", "2", "4"]))),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_COMMANDS)
+def test_cli_contract_fuzz(capsys, command):
+    name, flags = command
+    argv = [name] + [tok for pair in flags for tok in pair]
+    if name != "bakhvalov-check":
+        argv += ["--out", "-"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed flag value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "", argv

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rbmlmc.bitsource import BitSource
-from rbmlmc.euler import (bit_increments, classical_increments,
-                          coarse_from_fine, euler_paths_batch,
+from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_WIDTH, bit_increments,
+                          classical_increments, coarse_from_fine,
+                          euler_paths_batch, gbm_strong_error_vs_exact,
                           sup_distance_batch)
 from rbmlmc.ledger import CostLedger
 from rbmlmc.qnormal import normal_quantile
@@ -163,3 +165,108 @@ def test_sup_distance_batch_matches_scalar():
 def test_coupled_pair_requires_even_m():
     with pytest.raises(ValueError):
         coarse_from_fine(np.zeros((1, 3, 1)))
+
+
+# Frozen reference: the sequential Euler loop and the preset coefficient
+# closures as they were before presets became affine coefficient data. Wide
+# batches must match it bit for bit; the blocked scan of narrow batches
+# reassociates floats and must match it to a tolerance.
+_LIN2D_A = np.array([[-0.5, 0.1], [0.0, -0.3]])
+_LIN2D_C = np.array([[0.3, 0.05], [0.0, 0.25]])
+
+
+def _lin2d_diffusion(x):
+    b = np.broadcast_to(_LIN2D_C, x.shape + (2,)).copy()
+    b[..., 0, 0] += 0.1 * x[..., 0]
+    b[..., 1, 1] += 0.1 * x[..., 1]
+    return b
+
+
+REFERENCE_COEFFS = {
+    "gbm": (lambda x: 0.05 * x, lambda x: 0.2 * x[..., None]),
+    "additive_noise": (lambda x: -x,
+                       lambda x: np.ones(x.shape + (1,), dtype=float)),
+    "linear2d": (lambda x: x @ _LIN2D_A.T, _lin2d_diffusion),
+    "zero_noise": (np.zeros_like,
+                   lambda x: np.zeros(x.shape + (1,), dtype=float)),
+}
+ALL_PROBLEMS = ["gbm", "additive_noise", "linear2d", "zero_noise"]
+
+
+def _problem(name):
+    return make_zero_noise() if name == "zero_noise" else preset(name)
+
+
+def reference_paths(p, increments):
+    drift, diffusion = REFERENCE_COEFFS[p.label]
+    n, m, _ = increments.shape
+    out = np.empty((n, m + 1, p.r), dtype=float)
+    x = np.broadcast_to(p.x0, (n, p.r)).copy()
+    out[:, 0, :] = x
+    for k in range(m):
+        a = drift(x)
+        b = diffusion(x)
+        x = x + a / m + np.einsum("nrd,nd->nr", b, increments[:, k, :])
+        out[:, k + 1, :] = x
+    return out
+
+
+def _increments(p, n, m, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, m, p.d)) / math.sqrt(m)
+
+
+# (n, m): the scan side n <= _SCAN_WIDTH * m, including m that straddle
+# time chunks (n * m > _SCAN_ELEMS) and m that are no power of two, and
+# the loop side n > _SCAN_WIDTH * m for the small m.
+SCAN_SHAPES = [(1 + k % 7, 2 ** k) for k in range(15)] + [
+    (8, 1), (16, 2), (3, 3), (24, 3), (1, 5), (40, 5), (17, 4096),
+    (33, 3000), (9, 2 ** 14), (1, 12345)]
+LOOP_SHAPES = [(9, 1), (17, 2), (25, 3), (41, 5), (200, 16), (600, 64)]
+
+
+@pytest.mark.parametrize("name", ALL_PROBLEMS)
+def test_scan_matches_sequential_reference(name):
+    p = _problem(name)
+    for i, (n, m) in enumerate(SCAN_SHAPES + LOOP_SHAPES):
+        v = _increments(p, n, m, 1000 + i)
+        got = euler_paths_batch(p, v)
+        ref = reference_paths(p, v)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1))
+    # the shapes exercise chunking: several chunks with a short tail
+    assert 33 * 3000 > _SCAN_ELEMS and 9 * 2 ** 14 > _SCAN_ELEMS
+    assert all(n <= _SCAN_WIDTH * m for n, m in SCAN_SHAPES)
+    assert all(n > _SCAN_WIDTH * m for n, m in LOOP_SHAPES)
+
+
+@pytest.mark.parametrize("name", ALL_PROBLEMS)
+def test_wide_batches_bitwise_equal_frozen_loop(name):
+    p = _problem(name)
+    for i, (n, m) in enumerate(LOOP_SHAPES + [(3000, 256)]):
+        v = _increments(p, n, m, 2000 + i)
+        got = euler_paths_batch(p, v)
+        assert np.array_equal(got.view(np.int64),
+                              reference_paths(p, v).view(np.int64))
+
+
+@pytest.mark.parametrize("n, m", [(3, 1000), (5000, 4)])
+def test_zero_noise_exact_and_coeff_evals_on_both_paths(n, m):
+    p = make_zero_noise(x0=-1.75)
+    ledger = CostLedger()
+    paths = euler_paths_batch(p, _increments(p, n, m, 7), ledger)
+    assert np.all(paths == -1.75)
+    assert ledger.coeff_evals == 2 * n * m
+
+
+def test_strong_error_memory_bounded_in_reps():
+    # The replications run in fixed blocks: at reps=2000, m=1024 every
+    # (reps, 16 m + 1) array would be 262 MB.
+    tracemalloc.start()
+    try:
+        msd = gbm_strong_error_vs_exact(0.05, 0.2, 1.0, 1024, 2000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < msd < 1e-3
+    assert peak < 64 * 2 ** 20

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,3 +84,13 @@ def test_make_gbm_custom_parameters():
     assert p.drift(np.array([5.0]))[0] == 0.0
     assert p.diffusion(np.array([5.0]))[0, 0] == 5.0
     assert p.gamma == 1.0
+
+
+def test_problem_rejects_misshaped_coefficients():
+    p = preset("linear2d")  # r = d = 2
+    assert dataclasses.replace(p, label="copy").label == "copy"
+    for name, bad in (("x0", np.zeros(3)), ("A", np.zeros((2, 3))),
+                      ("a0", np.zeros((2, 1))), ("B", np.zeros((2, 2))),
+                      ("b0", np.zeros((1, 2)))):
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            dataclasses.replace(p, **{name: bad})
