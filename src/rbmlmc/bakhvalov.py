@@ -19,7 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitsource import enumerate_numerators
+from .bitsource import ENUMERATION_BIT_CAP, enumerate_numerators
+from .errors import FeasibilityError
 
 
 def quadratic_outputs(g_left: np.ndarray, g_right: np.ndarray,
@@ -75,22 +76,26 @@ class PairwiseCheckReport:
 
 
 def exact_pairwise_check(n: int, q: int, variant: str) -> PairwiseCheckReport:
-    """Exhaustively verify uniform marginals and pairwise-joint uniformity."""
+    """Exhaustively verify uniform marginals and pairwise-joint uniformity.
+
+    Every output and every output pair costs one bincount over all 2^(2nq)
+    realizations, so a check whose realizations x (outputs + pairs) exceed
+    2^ENUMERATION_BIT_CAP raises FeasibilityError before any work.
+    """
+    bits = 2 * n * q
+    if bits <= ENUMERATION_BIT_CAP:  # wider enumerations are refused anyway
+        count = n * n if variant == "quadratic" else 1 << n
+        work = (count * (count + 1) // 2) << bits
+        if work > 1 << ENUMERATION_BIT_CAP:
+            raise FeasibilityError(
+                f"{variant} n={n} q={q}: 2^{bits} realizations x {count} "
+                f"outputs and their pairs exceed 2^{ENUMERATION_BIT_CAP}")
     outs = _all_outputs(n, q, variant)
     big_r, count = outs.shape
-    atoms = 1 << q
-    failures = []
-    expect_marginal = big_r // atoms
-    for i in range(count):
-        c = np.bincount(outs[:, i], minlength=atoms)
-        if not np.all(c == expect_marginal):
-            failures.append(("marginal", i))
-    expect_joint = big_r // (atoms * atoms)
-    for i, j in combinations(range(count), 2):
-        c = np.bincount(outs[:, i] * atoms + outs[:, j],
-                        minlength=atoms * atoms)
-        if not np.all(c == expect_joint):
-            failures.append(("pair", i, j))
+    failures = [("marginal", i) for i in range(count)
+                if not _jointly_uniform(outs, q, (i,))]
+    failures += [("pair",) + t for t in combinations(range(count), 2)
+                 if not _jointly_uniform(outs, q, t)]
     return PairwiseCheckReport(variant=variant, n=n, q=q, count=count,
                                realizations=big_r, passed=not failures,
                                failures=tuple(failures))
@@ -99,7 +104,10 @@ def exact_pairwise_check(n: int, q: int, variant: str) -> PairwiseCheckReport:
 def joint_is_uniform(n: int, q: int, variant: str, indices) -> bool:
     """Exact check whether the outputs at the given indices are jointly
     uniform on the midpoint grid to the power len(indices)."""
-    outs = _all_outputs(n, q, variant)
+    return _jointly_uniform(_all_outputs(n, q, variant), q, indices)
+
+
+def _jointly_uniform(outs: np.ndarray, q: int, indices) -> bool:
     big_r = outs.shape[0]
     atoms = 1 << q
     cells = atoms ** len(indices)
@@ -114,9 +122,9 @@ def joint_is_uniform(n: int, q: int, variant: str, indices) -> bool:
 def find_nonuniform_tuple(n: int, q: int, variant: str,
                           size: int) -> tuple | None:
     """First index tuple of the given size whose exact joint is not uniform."""
-    count = n * n if variant == "quadratic" else 1 << n
-    for t in combinations(range(count), size):
-        if not joint_is_uniform(n, q, variant, t):
+    outs = _all_outputs(n, q, variant)
+    for t in combinations(range(outs.shape[1]), size):
+        if not _jointly_uniform(outs, q, t):
             return t
     return None
 

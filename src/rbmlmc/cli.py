@@ -112,8 +112,13 @@ def cmd_strong_error(args) -> int:
     if not args.q_min <= args.q_max <= MAX_DEPTH:
         raise ValueError(f"need --q-min <= --q-max <= {MAX_DEPTH}, got "
                          f"{args.q_min}, {args.q_max}")
-    if args.mode in ("discretization", "both") and args.sde != "gbm":
-        raise ValueError("discretization mode uses the gbm closed form")
+    if args.mode in ("discretization", "both"):
+        if args.sde != "gbm":
+            raise ValueError("discretization mode uses the gbm closed form")
+        # an empty step-count sweep would write a header-only table
+        if args.m_min > args.m_max:
+            raise ValueError(f"need --m-min <= --m-max, got {args.m_min}, "
+                             f"{args.m_max}")
     rows = []
     if args.mode in ("quantization", "both"):
         problem = sde.preset(args.sde)
@@ -167,6 +172,9 @@ def cmd_oracle(args) -> int:
     problem = sde.preset(args.sde)
     f = _functional_for(args, problem)
     seed = _parse_seed(args.seed)
+    for flag, value in (("--m", args.m), ("--q", args.q)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     if args.mc_reps < 0:
         raise ValueError(f"--mc-reps must be >= 0, got {args.mc_reps}")
     if args.kind == "expectation":

@@ -19,15 +19,11 @@ from .qnormal import normal_quantile, quantize_normal, quantized_normals
 from .sde import SDEProblem, make_gbm
 
 
-# Batches of n <= _SCAN_WIDTH * m paths take the blocked affine scan, wider
-# ones the sequential loop. The width comes from per-shape timings: for gbm
-# the scan wins up to n/m of about 16 (1.4x at n = 2176, m = 256) and the
-# loop beyond (1.4x at n = 10,000, m = 256); for linear2d the scan wins at
-# almost every shape. 8 keeps a margin from the gbm crossover. The scan
-# works through time chunks of T steps, T the largest power of two with
-# n * T <= _SCAN_ELEMS, which bounds its scratch memory per call (under
-# 10 MB for d = r = 2).
-_SCAN_WIDTH = 8
+# The scan runs time chunks of T = min(m, _SCAN_STEPS) steps over balanced
+# row blocks of at most _SCAN_ELEMS // T paths, which bounds its scratch
+# memory (under 10 MB for d = r = 2). T follows from m alone and paths are
+# independent, so a path's floats do not depend on the batch it is run in.
+_SCAN_STEPS = 1 << 10
 _SCAN_ELEMS = 1 << 16
 
 
@@ -39,43 +35,32 @@ def euler_paths_batch(p: SDEProblem, increments: np.ndarray,
     if d != p.d:
         raise ValueError(f"driving dimension mismatch: {d} != {p.d}")
     out = np.empty((n, m + 1, p.r), dtype=float)
-    x = np.broadcast_to(p.x0, (n, p.r)).copy()
-    out[:, 0, :] = x
-    if n <= _SCAN_WIDTH * m:
-        _affine_scan(p, increments, out)
-    else:
-        for k in range(m):
-            # x + a(x)/m + b(x) dW_k, summed in place into the fresh drift
-            # array (the same floats as without the in-place updates)
-            step = p.drift(x)
-            step /= m
-            step += x
-            step += np.einsum("nrd,nd->nr", p.diffusion(x),
-                              increments[:, k, :])
-            x = step
-            out[:, k + 1, :] = x
+    out[:, 0, :] = p.x0
+    chunk = max(1, min(m, _SCAN_STEPS))
+    blocks = -(-n // (_SCAN_ELEMS // chunk))
+    for i in range(blocks):
+        rows = slice(i * n // blocks, (i + 1) * n // blocks)
+        _affine_scan(p, increments[rows], out[rows], chunk)
     if ledger is not None:
         ledger.coeff_evals += 2 * n * m
     return out
 
 
-def _affine_scan(p: SDEProblem, increments: np.ndarray,
-                 out: np.ndarray) -> None:
+def _affine_scan(p: SDEProblem, increments: np.ndarray, out: np.ndarray,
+                 chunk: int) -> None:
     """Fill out[:, 1:] from out[:, 0] with the Euler step written as an
     affine map x_{k+1} = M_k x_k + c_k, M_k = I + A/m + sum_j B[:, j] dW_kj,
-    c_k = a0/m + b0 dW_k. Each time chunk is split into blocks of about
-    sqrt(T) steps: prefix maps are composed inside every block at once, the
-    block start states are carried across blocks, and then every state is
-    filled in. That is about 2 sqrt(T) Python iterations per chunk instead
-    of T. Floats are reassociated, so states agree with the loop to about
-    T * 1e-16 relative, not bitwise. Map components lead the arrays
-    (M: (r, r, step, path, block), c: (r, step, path, block)) and products
-    are summed over components one by one: numpy is slow on many tiny
-    matrices.
+    c_k = a0/m + b0 dW_k. Each time chunk of T steps is split into blocks of
+    about sqrt(T) steps: prefix maps are composed inside every block at
+    once, the block start states are carried, and every state is filled in,
+    in about 2 sqrt(T) Python iterations. Floats are reassociated, so states
+    agree with the loop x + a(x)/m + b(x) dW_k to about T * 1e-16 relative.
+    Map components lead the arrays (M: (r, r, step, path, block), c: (r,
+    step, path, block)); products are summed component by component, as
+    numpy is slow on many tiny matrices.
     """
     n, m, d = increments.shape
     comps = range(p.r)
-    chunk = 1 << max(0, (_SCAN_ELEMS // max(n, 1)).bit_length() - 1)
     I_A = (np.eye(p.r) + p.A / m)[:, :, None, None, None]
     a0 = (p.a0 / m)[:, None, None, None]
     for k0 in range(0, m, chunk):
@@ -108,27 +93,23 @@ def _affine_scan(p: SDEProblem, increments: np.ndarray,
             x.transpose(2, 3, 1, 0).reshape(n, nb * s, p.r)[:, :t]
 
 
-def classical_increments(rng: np.random.Generator, m: int, d: int,
-                         n: int | None = None,
+def classical_increments(rng: np.random.Generator, m: int, d: int, n: int,
                          ledger: CostLedger | None = None) -> np.ndarray:
-    """Brownian increments over steps of width 1/m: i.i.d. N(0, I_d/m)."""
+    """Brownian increments (n, m, d) over steps 1/m: i.i.d. N(0, I_d/m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    shape = (m, d) if n is None else (n, m, d)
     if ledger is not None:
-        ledger.coin_count += math.prod(shape)
-    return rng.standard_normal(shape) / math.sqrt(m)
+        ledger.coin_count += n * m * d
+    return rng.standard_normal((n, m, d)) / math.sqrt(m)
 
 
-def bit_increments(src: BitSource, m: int, q: int, d: int,
-                   n: int | None = None,
+def bit_increments(src: BitSource, m: int, q: int, d: int, n: int,
                    ledger: CostLedger | None = None) -> np.ndarray:
-    """Quantized-normal increments m^{-1/2} Y^(q); exactly (n*)d*m*q bits."""
+    """Quantized-normal increments m^{-1/2} Y^(q); exactly n*m*d*q bits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    shape = (m, d) if n is None else (n, m, d)
     before = src.bits_consumed
-    nums = src.draw_dyadic_numerators(q, shape)
+    nums = src.draw_dyadic_numerators(q, (n, m, d))
     if ledger is not None:
         ledger.bit_count += src.bits_consumed - before
     return quantized_normals(nums, q) / math.sqrt(m)

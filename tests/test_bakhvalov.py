@@ -94,6 +94,14 @@ def test_logarithmic_triples_dependent():
 def test_enumeration_cap():
     with pytest.raises(FeasibilityError):
         exact_pairwise_check(5, 3, "quadratic")
+    # the cap also bounds realizations x (outputs + output pairs):
+    # 2^24 x (9 + 36), 2^16 x (256 + 32640) and 2^24 x (4 + 6) are refused,
+    # 2^20 x (4 + 6) is not
+    for n, q, variant in ((3, 4, "quadratic"), (8, 1, "logarithmic"),
+                          (2, 6, "quadratic")):
+        with pytest.raises(FeasibilityError):
+            exact_pairwise_check(n, q, variant)
+    assert exact_pairwise_check(2, 5, "quadratic").passed
 
 
 def test_invalid_args():

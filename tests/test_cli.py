@@ -117,6 +117,13 @@ BAD_CONFIGS = [
     ["run", "--variant", "bit", "--eps", "0.25", "--seeds", ","],
     ["run", "--variant", "bit", "--eps", "1e-7", "--seeds", "0"],  # q = 53
     ["oracle", "--m", "2", "--q", "1", "--mc-reps", "-1"],
+    ["strong-error", "--mode", "discretization", "--m-min", "1", "--m-max",
+     "0", "--reps", "10"],
+    ["strong-error", "--mode", "both", "--m", "4", "--q-min", "2", "--q-max",
+     "2", "--m-min", "16", "--m-max", "4", "--reps", "10"],
+    ["oracle", "--m", "0", "--q", "1"],
+    ["oracle", "--m", "-1", "--q", "1"],
+    ["oracle", "--m", "1", "--q", "-1"],
 ]
 
 
@@ -157,8 +164,8 @@ def test_seed_range_ends_are_accepted(capsys):
 def test_run_csv_matches_baseline_hashes(capsys):
     # sha256 prefixes of the committed baseline: any change to the arithmetic
     # or the CSV format of `run` shows here
-    expected = {"classical": "32ecf65cd26f8001", "bit": "21806af706e9ddf5",
-                "bbit": "ffca1a1b6990d16d", "bbit-log": "c8dbf7009b01cf7e"}
+    expected = {"classical": "bfa1311e81a86902", "bit": "6c98a52bfa6e62cf",
+                "bbit": "a2bf7c488e14213e", "bbit-log": "14a4c78aa9736f55"}
     for variant, prefix in expected.items():
         code, out, _ = run_cli(["run", "--variant", variant, "--eps",
                                 "0.0625", "--seeds", "0,1,2", "--out", "-"],
@@ -207,10 +214,15 @@ def test_bakhvalov_check_triple_reports_none(capsys):
 
 
 def test_bakhvalov_check_feasibility_exit_3(capsys):
-    code, _, err = run_cli(["bakhvalov-check", "--n", "8", "--q", "4"],
-                           capsys)
-    assert code == 3
-    assert "feasibility error" in err
+    # over the enumeration cap: 64 bits; then 24 and 16 bits whose
+    # realizations x (outputs + output pairs) exceed 2^24
+    for flags in (["--n", "8", "--q", "4"],
+                  ["--variant", "quadratic", "--n", "3", "--q", "4"],
+                  ["--variant", "logarithmic", "--n", "8", "--q", "1"]):
+        code, out, err = run_cli(["bakhvalov-check"] + flags, capsys)
+        assert code == 3
+        assert out == ""
+        assert "feasibility error" in err
 
 
 def test_oracle_with_mc(capsys):
@@ -300,8 +312,9 @@ _COMMANDS = st.one_of(
          "2^-2,2^-3,2^-4,2^-5,1e-9", "2^-2^3,1,2,3,4", "x"]))),
     st.tuples(st.just("bakhvalov-check"), _flags(
         variant=st.sampled_from(["quadratic", "logarithmic"]),
-        # 2n generators of q bits: n = 13 is over the 24-bit cap at any q
-        n=st.sampled_from(["0", "1", "2", "13"]),
+        # 2n generators of q bits: n = 13 is over the 24-bit cap at any q,
+        # and n = 3, 4, 8 reach the cap on realizations x (outputs + pairs)
+        n=st.sampled_from(["0", "1", "2", "3", "4", "8", "13"]),
         q=st.sampled_from(["0", "1", "2", "4"]))),
 )
 

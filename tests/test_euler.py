@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rbmlmc.bitsource import BitSource
-from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_WIDTH, bit_increments,
+from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_STEPS, bit_increments,
                           classical_increments, coarse_from_fine,
                           euler_paths_batch, gbm_strong_error_vs_exact,
                           sup_distance_batch)
@@ -50,12 +50,12 @@ def test_classical_increment_statistics():
 def test_bit_increments_atoms_and_count():
     src = BitSource(0, 1)
     ledger = CostLedger()
-    v = bit_increments(src, 4, 1, 1, ledger=ledger)
+    v = bit_increments(src, 4, 1, 1, n=1, ledger=ledger)
     assert ledger.bit_count == 4
     assert np.all(np.isin(np.round(np.abs(v) * 2, 9),
                           np.round(Q3, 9)))
     src = BitSource(0, 2)
-    bit_increments(src, 8, 3, 2)
+    bit_increments(src, 8, 3, 2, n=1)
     assert src.bits_consumed == 48
 
 
@@ -68,8 +68,8 @@ def test_bit_increment_single_value():
         if tuple(probe.draw_bits(2)) == (1, 0):
             break
         src = BitSource(src.seed, src.stream_id + 1)
-    v = bit_increments(src, 1, 2, 1)
-    assert v[0, 0] == pytest.approx(normal_quantile(0.625), abs=1e-14)
+    v = bit_increments(src, 1, 2, 1, n=1)
+    assert v[0, 0, 0] == pytest.approx(normal_quantile(0.625), abs=1e-14)
 
 
 def test_coupled_bit_pair_coarse_consistency_and_bits():
@@ -83,8 +83,8 @@ def test_coupled_bit_pair_coarse_consistency_and_bits():
     assert src.bits_consumed == 24
     assert ledger.coeff_evals == 2 * 8 + 2 * 4
     # recompute the coarse path from the summed increments: bitwise identical
-    v = bit_increments(BitSource(3, 0), 8, 3, 1)
-    again = euler_paths_batch(g, coarse_from_fine(v)[None])
+    v = bit_increments(BitSource(3, 0), 8, 3, 1, n=1)
+    again = euler_paths_batch(g, coarse_from_fine(v))
     assert np.array_equal(again, coarse)
     assert fine.shape == (1, 9, 1) and coarse.shape == (1, 5, 1)
     assert np.all(fine[:, 0] == g.x0)
@@ -168,9 +168,8 @@ def test_coupled_pair_requires_even_m():
 
 
 # Frozen reference: the sequential Euler loop and the preset coefficient
-# closures as they were before presets became affine coefficient data. Wide
-# batches must match it bit for bit; the blocked scan of narrow batches
-# reassociates floats and must match it to a tolerance.
+# closures as they were before presets became affine coefficient data. The
+# blocked scan reassociates floats and must match it to a tolerance.
 _LIN2D_A = np.array([[-0.5, 0.1], [0.0, -0.3]])
 _LIN2D_C = np.array([[0.3, 0.05], [0.0, 0.25]])
 
@@ -216,38 +215,46 @@ def _increments(p, n, m, seed):
     return rng.standard_normal((n, m, p.d)) / math.sqrt(m)
 
 
-# (n, m): the scan side n <= _SCAN_WIDTH * m, including m that straddle
-# time chunks (n * m > _SCAN_ELEMS) and m that are no power of two, and
-# the loop side n > _SCAN_WIDTH * m for the small m.
+# (n, m): one time chunk for m <= _SCAN_STEPS, several for larger m, m that
+# are no power of two, and (3000, 256), a batch of several row blocks.
 SCAN_SHAPES = [(1 + k % 7, 2 ** k) for k in range(15)] + [
     (8, 1), (16, 2), (3, 3), (24, 3), (1, 5), (40, 5), (17, 4096),
-    (33, 3000), (9, 2 ** 14), (1, 12345)]
-LOOP_SHAPES = [(9, 1), (17, 2), (25, 3), (41, 5), (200, 16), (600, 64)]
+    (33, 3000), (9, 2 ** 14), (1, 12345), (9, 1), (17, 2), (25, 3), (41, 5),
+    (200, 16), (600, 64), (3000, 256)]
 
 
 @pytest.mark.parametrize("name", ALL_PROBLEMS)
 def test_scan_matches_sequential_reference(name):
     p = _problem(name)
-    for i, (n, m) in enumerate(SCAN_SHAPES + LOOP_SHAPES):
+    for i, (n, m) in enumerate(SCAN_SHAPES):
         v = _increments(p, n, m, 1000 + i)
         got = euler_paths_batch(p, v)
         ref = reference_paths(p, v)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1))
-    # the shapes exercise chunking: several chunks with a short tail
-    assert 33 * 3000 > _SCAN_ELEMS and 9 * 2 ** 14 > _SCAN_ELEMS
-    assert all(n <= _SCAN_WIDTH * m for n, m in SCAN_SHAPES)
-    assert all(n > _SCAN_WIDTH * m for n, m in LOOP_SHAPES)
+    # the shapes exercise several chunks with a short tail, and more than
+    # two row blocks
+    assert 3000 > _SCAN_STEPS and 12345 % _SCAN_STEPS
+    assert 3000 > 2 * (_SCAN_ELEMS // 256)
+
+
+# (n, m, slices): batches of several row blocks, or of several time chunks
+WIDTH_CASES = [(3000, 256, [(0, 1), (5, 1200), (2999, 3000)]),
+               (33, 3000, [(0, 1), (3, 20), (32, 33)]),
+               (9, 2 ** 14, [(0, 1), (2, 7), (8, 9)])]
 
 
 @pytest.mark.parametrize("name", ALL_PROBLEMS)
-def test_wide_batches_bitwise_equal_frozen_loop(name):
+def test_sub_batch_bitwise_equal_full_batch(name):
+    # a path's floats do not depend on the batch it is run in
     p = _problem(name)
-    for i, (n, m) in enumerate(LOOP_SHAPES + [(3000, 256)]):
-        v = _increments(p, n, m, 2000 + i)
-        got = euler_paths_batch(p, v)
-        assert np.array_equal(got.view(np.int64),
-                              reference_paths(p, v).view(np.int64))
+    for n, m, slices in WIDTH_CASES:
+        v = _increments(p, n, m, 3000 + m)
+        full = euler_paths_batch(p, v)
+        for i, j in slices:
+            part = euler_paths_batch(p, v[i:j])
+            assert np.array_equal(full[i:j].view(np.int64),
+                                  part.view(np.int64))
 
 
 @pytest.mark.parametrize("n, m", [(3, 1000), (5000, 4)])

@@ -126,14 +126,14 @@ def test_quantize_normal_support_size():
 def test_sample_quantized_normal_atoms_and_counting():
     # one step (m = 1) of bit increments is a d-vector of quantized normals
     src = BitSource(0, 5)
-    v = bit_increments(src, 1, 2, 3)
-    assert v.shape == (1, 3)
+    v = bit_increments(src, 1, 2, 3, n=1)
+    assert v.shape == (1, 1, 3)
     assert src.bits_consumed == 6
     atoms = grid_atoms(2)
-    for x in v[0]:
+    for x in v[0, 0]:
         assert np.min(np.abs(atoms - x)) < 1e-12
     # q=1: single bit maps to +-quantile(3/4)
-    x = bit_increments(BitSource(1, 0), 1, 1, 1)[0, 0]
+    x = bit_increments(BitSource(1, 0), 1, 1, 1, n=1)[0, 0, 0]
     assert abs(abs(x) - 0.674489750196082) < 1e-12
 
 
