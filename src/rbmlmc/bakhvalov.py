@@ -1,17 +1,23 @@
 """Pairwise-independent dyadic uniforms from few independent generators.
 
-Two constructions, both exact on numerators mod 2^q (the shifted sum of two
-cell midpoints is again a midpoint, so no float arithmetic is involved):
+Both families are one slot sum, exact on numerators mod 2^q. S slots each
+hold r independent generators; output i picks in slot j the generator at
+base-r digit j of i (digit 0 least significant) and has numerator
+(sum of the picks + S - 1) mod 2^q. For midpoints G = (g + 1/2) 2^-q that is
+sum_j G_j + (S - 1) 2^-(q+1) mod 1, again a midpoint: no float arithmetic.
 
-* quadratic trick: 2n independent generators yield n^2 outputs
-  out[(j1-1)n + j2] = G[j1] + G[n + j2] + 2^-(q+1) mod 1, i.e. numerator
-  (g[j1] + g[n+j2] + 1) mod 2^q;
-* logarithmic variant: 2n generators G[i][j] (i in {1,2}, j = 1..n) yield
-  2^n outputs indexed by (i_1..i_n), numerator (sum_j g[i_j][j] + n-1) mod 2^q.
+* quadratic trick: 2n generators, S = 2 slots of r = n (constant +1), the
+  right factor the minor digit: out[(j1-1)n + j2] = G[j1] + G[n + j2] +
+  2^-(q+1) mod 1, n^2 outputs;
+* logarithmic variant: 2n generators G[i][j], S = n slots of r = 2
+  (constant n - 1), 2^n outputs; bit j of the index picks row i of slot j.
 
-Each output is uniform on the midpoint grid and the family is pairwise
-independent, which is checkable exactly by enumerating all generator
-realizations for small n*q.
+Each slot is the next more significant digit and takes only the digit
+values the requested count reaches, so a level builds only the outputs it
+uses. Two distinct indices differ in some slot, whose two generators are
+independent of each other and of every other pick, so each output pair is
+jointly uniform; small n*q are checked exactly by enumerating all
+generator realizations.
 """
 
 from dataclasses import dataclass
@@ -23,24 +29,36 @@ from .bitsource import ENUMERATION_BIT_CAP, enumerate_numerators
 from .errors import FeasibilityError
 
 
-def quadratic_outputs(g_left: np.ndarray, g_right: np.ndarray,
-                      q: int) -> np.ndarray:
+def _slot_sums(slots: np.ndarray, q: int, count: int | None) -> np.ndarray:
+    """Slot sums of generators (S, ..., r, d) -> (..., count, d); count None
+    means all r^S outputs."""
+    n_slots, radix = slots.shape[0], slots.shape[-2]
+    if count is not None and not 1 <= count <= radix ** n_slots:
+        raise ValueError(f"count must lie in [1, {radix ** n_slots}], "
+                         f"got {count}")
+    out = np.full(slots.shape[1:-2] + (1, slots.shape[-1]), n_slots - 1,
+                  dtype=np.int64)
+    for s in slots:  # next more significant digit, up to the count
+        k = radix if count is None else min(radix, -(-count // out.shape[-2]))
+        out = s[..., :k, None, :] + out[..., None, :, :]
+        out = out.reshape(out.shape[:-3] + (-1, out.shape[-1]))
+    return out[..., :count, :] & ((1 << q) - 1)
+
+
+def quadratic_outputs(g_left: np.ndarray, g_right: np.ndarray, q: int,
+                      count: int | None = None) -> np.ndarray:
     """Combine generator numerators (..., n, d) x (..., n, d) -> (..., n^2, d),
-    index (j1-1)*n + j2 running over j1 major, j2 minor."""
-    n = g_left.shape[-2]
-    out = (g_left[..., :, None, :] + g_right[..., None, :, :] + 1) % (1 << q)
-    return out.reshape(out.shape[:-3] + (n * n, -1))
+    index (j1-1)*n + j2 running over j1 major, j2 minor; count keeps the
+    first count outputs."""
+    return _slot_sums(np.stack([g_right, g_left]), q, count)
 
 
-def logarithmic_outputs(g: np.ndarray, q: int) -> np.ndarray:
+def logarithmic_outputs(g: np.ndarray, q: int,
+                        count: int | None = None) -> np.ndarray:
     """Combine generator numerators (..., 2, n, d) -> (..., 2^n, d); output
-    index i selects generator row bit_j(i) in slot j (bit 0 = slot 0)."""
-    n = g.shape[-2]
-    idx = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(g.shape[:-3] + (1 << n, g.shape[-1]), dtype=np.int64)
-    for j in range(n):  # slot by slot: no (..., 2^n, n, d) temporary
-        out += g[..., (idx >> j) & 1, j, :]
-    return (out + n - 1) % (1 << q)
+    index i selects generator row bit_j(i) in slot j (bit 0 = slot 0);
+    count keeps the first count outputs."""
+    return _slot_sums(np.moveaxis(g, -2, 0), q, count)
 
 
 def _all_outputs(n: int, q: int, variant: str) -> np.ndarray:

@@ -37,7 +37,11 @@ def _parse_seed(value) -> int:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [_parse_seed(s) for s in text.split(",") if s.strip() != ""]
+    """Distinct seeds: a repeated one (also as 1,01) only repeats rows."""
+    seeds = [_parse_seed(s) for s in text.split(",") if s.strip() != ""]
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"repeated seed in --seeds {text!r}")
+    return seeds
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--eps-grid", default=None,
                    help="comma list, 2^-4 entries allowed")
-    p.add_argument("--seeds", default="0", help="comma list of seeds")
+    p.add_argument("--seeds", default="0", help="comma list of distinct seeds")
     p.add_argument("--debug-const-functional", type=float, default=None)
     p.add_argument("--timing", action="store_true",
                    help="emit measured wall_time_ms (breaks byte-level "

@@ -145,14 +145,14 @@ def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
         n = params.n[level]
         g = src.draw_dyadic_numerators(q, (m, 2 * n, d))
         g = np.moveaxis(g, 0, 1).reshape(2 * n, m * d)
-        nums = quadratic_outputs(g[:n], g[n:], q)[:N].reshape(N, m, d)
+        nums = quadratic_outputs(g[:n], g[n:], q, N).reshape(N, m, d)
     elif N == 1:  # bbit_log
         nums = src.draw_dyadic_numerators(q, (1, m, d))
     else:
         nh = int(params.nhat[level])
         g = src.draw_dyadic_numerators(q, (m, 2, nh, d))
         g = np.moveaxis(g, 0, 2).reshape(2, nh, m * d)
-        nums = logarithmic_outputs(g, q)[:N].reshape(N, m, d)
+        nums = logarithmic_outputs(g, q, N).reshape(N, m, d)
     ledger.bit_count += src.bits_consumed - before
     return quantized_normals(nums, q) / math.sqrt(m)
 

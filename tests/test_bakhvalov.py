@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rbmlmc.bakhvalov import (_all_outputs, exact_pairwise_check,
+from rbmlmc.bakhvalov import (_all_outputs, _slot_sums, exact_pairwise_check,
                               find_nonuniform_triple, find_nonuniform_tuple,
                               joint_is_uniform, logarithmic_outputs,
                               quadratic_outputs)
@@ -128,3 +132,103 @@ def test_combiners_take_a_leading_axis():
         log = np.stack([logarithmic_outputs(x.reshape(2, n, 1), q)[:, 0]
                         for x in gens])
         assert np.array_equal(_all_outputs(n, q, "logarithmic"), log)
+
+
+# Frozen copies of the combiners before the slot-sum kernel: a full
+# broadcast and a slot-by-slot gather, each reduced with %.
+def _frozen_quadratic(g_left, g_right, q):
+    n = g_left.shape[-2]
+    out = (g_left[..., :, None, :] + g_right[..., None, :, :] + 1) % (1 << q)
+    return out.reshape(out.shape[:-3] + (n * n, -1))
+
+
+def _frozen_logarithmic(g, q):
+    n = g.shape[-2]
+    idx = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros(g.shape[:-3] + (1 << n, g.shape[-1]), dtype=np.int64)
+    for j in range(n):
+        out += g[..., (idx >> j) & 1, j, :]
+    return (out + n - 1) % (1 << q)
+
+
+def _assert_same(out, ref):
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["flat", "lead"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("q", [1, 3, 16])
+def test_combiners_bitwise_equal_frozen_copies(q, d, lead):
+    # every count from 1 to the family size is the frozen output's prefix;
+    # the frozen quadratic cannot reshape n = 0, so it starts at n = 1
+    rng = np.random.default_rng(q * 10 + d)
+    for n in range(7):
+        g = rng.integers(0, 1 << q, size=lead + (2, n, d))
+        ref = _frozen_logarithmic(g, q)
+        _assert_same(logarithmic_outputs(g, q), ref)
+        for count in range(1, (1 << n) + 1):
+            _assert_same(logarithmic_outputs(g, q, count), ref[..., :count, :])
+        if n == 0:
+            continue
+        left, right = rng.integers(0, 1 << q, size=(2,) + lead + (n, d))
+        ref = _frozen_quadratic(left, right, q)
+        _assert_same(quadratic_outputs(left, right, q), ref)
+        for count in range(1, n * n + 1):
+            _assert_same(quadratic_outputs(left, right, q, count),
+                         ref[..., :count, :])
+
+
+def test_count_range_and_slotless_family():
+    g = np.zeros((2, 3, 1), dtype=np.int64)
+    for count in (-1, 0, 9):
+        with pytest.raises(ValueError):
+            logarithmic_outputs(g, 2, count)
+    for count in (-1, 0, 10):
+        with pytest.raises(ValueError):
+            quadratic_outputs(g[0], g[1], 2, count)
+    # no slot: one output, the constant n - 1 = -1 mod 2^q
+    out = logarithmic_outputs(np.zeros((4, 2, 0, 3), dtype=np.int64), 5)
+    _assert_same(out, np.full((4, 1, 3), 31))
+    _assert_same(logarithmic_outputs(np.zeros((2, 0, 1), dtype=np.int64),
+                                     5, 1), np.full((1, 1), 31))
+    with pytest.raises(ValueError):
+        logarithmic_outputs(np.zeros((2, 0, 1), dtype=np.int64), 5, 2)
+
+
+@given(variant=st.sampled_from(["quadratic", "logarithmic"]),
+       n=st.integers(1, 7), lead=st.lists(st.integers(1, 3), max_size=2),
+       d=st.integers(1, 4), q=st.integers(1, 20),
+       frac=st.floats(0, 1), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=250, deadline=None)
+def test_slot_sums_property(variant, n, lead, d, q, frac, seed):
+    # the kernel, called on the slots as the wrappers build them, is a
+    # prefix of the frozen output for any leading shape, radix and count
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, 1 << q, size=tuple(lead) + (2, n, d))
+    if variant == "quadratic":
+        slots = np.stack([g[..., 1, :, :], g[..., 0, :, :]])
+        ref = _frozen_quadratic(g[..., 0, :, :], g[..., 1, :, :], q)
+    else:
+        slots = np.moveaxis(g, -2, 0)
+        ref = _frozen_logarithmic(g, q)
+    size = ref.shape[-2]
+    count = 1 + int(frac * (size - 1))
+    _assert_same(_slot_sums(slots, q, count), ref[..., :count, :])
+    _assert_same(_slot_sums(slots, q, None), ref)
+
+
+@pytest.mark.parametrize("n, width, count", [(5, 65536, 17), (10, 4096, 32)])
+def test_trimmed_combine_memory(n, width, count):
+    # (5, 65536, 17) is the deepest bbit_log level at eps = 2^-6, where the
+    # full gather peaked at 5.6x the returned bytes; keeping 32 of 1024
+    # outputs needs the slots past the count to take one digit value only
+    g = np.random.default_rng(0).integers(0, 1 << 16, size=(2, n, width))
+    tracemalloc.start()
+    try:
+        out = logarithmic_outputs(g, 16, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (count, width)
+    assert peak < 4 * out.nbytes

@@ -115,6 +115,8 @@ BAD_CONFIGS = [
     ["bakhvalov-check", "--n", "3"],
     ["run", "--variant", "bit", "--eps", "0.25", "--seeds", ""],
     ["run", "--variant", "bit", "--eps", "0.25", "--seeds", ","],
+    ["run", "--variant", "bbit", "--eps", "0.25", "--seeds", "1,1"],
+    ["run", "--variant", "bbit", "--eps", "0.25", "--seeds", "1,01"],
     ["run", "--variant", "bit", "--eps", "1e-7", "--seeds", "0"],  # q = 53
     ["oracle", "--m", "2", "--q", "1", "--mc-reps", "-1"],
     ["strong-error", "--mode", "discretization", "--m-min", "1", "--m-max",
@@ -276,7 +278,7 @@ def test_console_entry_point():
 
 # CLI fuzz: small, bounded flag values, so every drawn command finishes in
 # well under a second; edge values sit on both sides of each check.
-_SEEDS = st.sampled_from(["0", "1,3", "-1", "", ",", "x",
+_SEEDS = st.sampled_from(["0", "1,3", "1,1", "-1", "", ",", "x",
                           str(2 ** 64 - 1), str(2 ** 64)])
 _EPS = st.sampled_from(["nan", "inf", "-1", "0", "0.5", "0.3", "0.25",
                         "1e-7", "1e-9"])
