@@ -211,6 +211,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_cost_report(args) -> int:
+    if args.d < 1:  # d = 0 counts no bits (a 0/0 band), d < 0 negative bits
+        raise ValueError(f"--d must be >= 1, got {args.d}")
     eps_values = _parse_grid(args.eps_grid)
     table = mlmc.bitcount_bound_check(eps_values, d=args.d)
     rows = []
@@ -324,7 +326,7 @@ def main(argv=None) -> int:
         # a schedule too large for this machine, e.g. 38 PiB of normals
         print(f"feasibility error: out of memory: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # overflow: eps^-2 > max float
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

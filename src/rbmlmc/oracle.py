@@ -17,14 +17,14 @@ from .bitsource import enumerate_numerators
 from .errors import FeasibilityError
 from .euler import coarse_from_fine, euler_paths_batch
 from .functionals import Functional
-from .qnormal import grid_atoms
+from .qnormal import grid_atoms, quantized_normals
 from .sde import SDEProblem
 
 
 def enumerate_bit_increments(m: int, q: int, d: int) -> np.ndarray:
     """All increment arrays, shape (2^(m*d*q), m, d), each equally likely."""
     nums = enumerate_numerators(m * d, q)
-    return grid_atoms(q)[nums].reshape(-1, m, d) / math.sqrt(m)
+    return quantized_normals(nums, q).reshape(-1, m, d) / math.sqrt(m)
 
 
 def exact_expectation_bit_euler(p: SDEProblem, f: Functional, m: int,

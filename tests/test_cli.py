@@ -126,6 +126,12 @@ BAD_CONFIGS = [
     ["oracle", "--m", "0", "--q", "1"],
     ["oracle", "--m", "-1", "--q", "1"],
     ["oracle", "--m", "1", "--q", "-1"],
+    ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6", "--d", "0"],
+    ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6", "--d", "-1"],
+    # eps^-2 past the float range
+    ["run", "--variant", "bit", "--eps", "1e-300", "--seeds", "0"],
+    ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,1e-300"],
+    ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-600"],
 ]
 
 
@@ -166,8 +172,8 @@ def test_seed_range_ends_are_accepted(capsys):
 def test_run_csv_matches_baseline_hashes(capsys):
     # sha256 prefixes of the committed baseline: any change to the arithmetic
     # or the CSV format of `run` shows here
-    expected = {"classical": "bfa1311e81a86902", "bit": "6c98a52bfa6e62cf",
-                "bbit": "a2bf7c488e14213e", "bbit-log": "14a4c78aa9736f55"}
+    expected = {"classical": "bfa1311e81a86902", "bit": "df2966c85d28d333",
+                "bbit": "94d48fe63dc0f6df", "bbit-log": "21809a3ee4566d70"}
     for variant, prefix in expected.items():
         code, out, _ = run_cli(["run", "--variant", variant, "--eps",
                                 "0.0625", "--seeds", "0,1,2", "--out", "-"],
@@ -281,7 +287,7 @@ def test_console_entry_point():
 _SEEDS = st.sampled_from(["0", "1,3", "1,1", "-1", "", ",", "x",
                           str(2 ** 64 - 1), str(2 ** 64)])
 _EPS = st.sampled_from(["nan", "inf", "-1", "0", "0.5", "0.3", "0.25",
-                        "1e-7", "1e-9"])
+                        "1e-7", "1e-9", "1e-300"])
 _SDES = st.sampled_from(sde.preset_names())
 
 
@@ -309,9 +315,12 @@ _COMMANDS = st.one_of(
         m=st.sampled_from(["-1", "0", "1", "2", "16"]),
         q=st.sampled_from(["0", "1", "2", "21"]),
         mc_reps=st.sampled_from(["-1", "0", "10"]), seed=_SEEDS)),
-    st.tuples(st.just("cost-report"), _flags(eps_grid=st.sampled_from(
-        ["0.25,0.125", "2^-2,2^-3,2^-4,2^-5,2^-6", "nan,1,2,3,4",
-         "2^-2,2^-3,2^-4,2^-5,1e-9", "2^-2^3,1,2,3,4", "x"]))),
+    st.tuples(st.just("cost-report"), _flags(
+        eps_grid=st.sampled_from(
+            ["0.25,0.125", "2^-2,2^-3,2^-4,2^-5,2^-6", "nan,1,2,3,4",
+             "2^-2,2^-3,2^-4,2^-5,1e-9", "2^-2^3,1,2,3,4", "x",
+             "2^-2,2^-3,2^-4,2^-5,1e-300", "2^-2,2^-3,2^-4,2^-5,2^-600"]),
+        d=st.sampled_from(["-1", "0", "1", "2"]))),
     st.tuples(st.just("bakhvalov-check"), _flags(
         variant=st.sampled_from(["quadratic", "logarithmic"]),
         # 2n generators of q bits: n = 13 is over the 24-bit cap at any q,

@@ -12,7 +12,7 @@ from rbmlmc.oracle import (coarse_distribution_mismatch,
                            enumerate_bit_increments,
                            exact_expectation_bit_euler,
                            exact_level_difference)
-from rbmlmc.qnormal import grid_atoms
+from rbmlmc.qnormal import grid_atoms, normal_quantile
 from rbmlmc.sde import make_gbm, make_zero_noise, preset
 
 Q3 = 0.674489750196082  # quantile at u = 3/4, the q=1 grid atom
@@ -46,6 +46,10 @@ def test_enumeration_weights_are_uniform_atoms():
 def test_enumeration_cap():
     with pytest.raises(FeasibilityError):
         enumerate_bit_increments(4, 4, 2)  # 32 bits
+    # only the bit cap binds: q = 21 is past the atom table, not the cap
+    v = enumerate_bit_increments(1, 21, 1)
+    assert v.shape == (1 << 21, 1, 1)
+    assert v[-1, 0, 0] == -v[0, 0, 0] == -normal_quantile(2.0 ** -22)
 
 
 def test_exact_expectation_constant():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from rbmlmc.bitsource import BitSource
 from rbmlmc.errors import FeasibilityError
 from rbmlmc.euler import bit_increments
-from rbmlmc.qnormal import (_atom_table, exact_grid_moments, grid_atoms,
-                            normal_cdf, normal_quantile, quantize_normal,
+from rbmlmc.qnormal import (exact_grid_moments, grid_atoms, normal_cdf,
+                            normal_quantile, quantize_normal,
                             quantized_normals)
 
 # Reference CDF values frozen from a 30-digit mpmath computation.
@@ -20,6 +20,20 @@ CDF_REFS = {
     -1.5: 0.066807201268858066,
     3.0: 0.998650101968369905,
     -4.0: 3.16712418331199213e-05,
+}
+
+# Atoms quantile((k + 1/2) / 2^q) at k = 0, 1, 2, N/2 - 1, N/2, N - 3,
+# N - 2, N - 1 (N = 2^q), frozen to 21 digits from a 50-digit mpmath
+# computation.
+ATOM_REFS = {
+    16: (-4.32491904082604625717, -4.07620651603261787722,
+         -3.95575303793049458661, -1.9124056051512083651e-05,
+         1.9124056051512083651e-05, 3.95575303793049458661,
+         4.07620651603261787722, 4.32491904082604625717),
+    20: (-4.90096420796319301184, -4.68055288459218740859,
+         -4.57472884103579721816, -1.19525350314693324257e-06,
+         1.19525350314693324257e-06, 4.57472884103579721816,
+         4.68055288459218740859, 4.90096420796319301184),
 }
 
 
@@ -181,8 +195,26 @@ def test_atom_table_equals_formula_bitwise():
             assert got.shape == shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # the cached table is built once per q and cannot be written through
-    table = _atom_table(3)
-    assert _atom_table(3) is table
-    assert np.array_equal(table, grid_atoms(3))
+    table = grid_atoms(3)
+    assert grid_atoms(3) is table
+    assert np.array_equal(table, normal_quantile((np.arange(8) + 0.5) / 8))
     with pytest.raises(ValueError):
         table[0] = 0.0
+
+
+def test_atoms_within_4_ulps_of_references():
+    for q, refs in ATOM_REFS.items():
+        n = 1 << q
+        ks = [0, 1, 2, n // 2 - 1, n // 2, n - 3, n - 2, n - 1]
+        got = grid_atoms(q)[ks]
+        ulps = np.abs(got - refs) / np.spacing(np.abs(refs))
+        assert ulps.max() <= 4, (q, ulps)
+
+
+def test_atom_grid_is_odd_bitwise():
+    # (k + 1/2) / 2^q and its mirror 1 - (k + 1/2) / 2^q are both exact, so
+    # an odd quantile gives atom k == -atom(2^q - 1 - k) bit for bit
+    for q in range(1, 21):
+        atoms = grid_atoms(q)
+        assert np.array_equal(atoms.view(np.int64),
+                              (-atoms[::-1]).view(np.int64)), q
