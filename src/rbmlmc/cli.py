@@ -326,7 +326,7 @@ def main(argv=None) -> int:
         # a schedule too large for this machine, e.g. 38 PiB of normals
         print(f"feasibility error: out of memory: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as exc:  # overflow: eps^-2 > max float
+    except (ValueError, OverflowError) as exc:  # overflow: a 10^400 entry
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

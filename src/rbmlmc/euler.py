@@ -116,12 +116,16 @@ def bit_increments(src: BitSource, m: int, q: int, d: int, n: int,
 
 
 def coarse_from_fine(increments: np.ndarray) -> np.ndarray:
-    """Pairwise sums of adjacent fine increments; (..., m, d) -> (..., m/2, d)."""
-    m = increments.shape[-2]
-    if m % 2 != 0:
+    """Pairwise sums of adjacent fine increments; (..., m, d) -> (..., m/2, d).
+
+    (0.0 + even) + odd step planes: bit for bit numpy's sum over a length-2
+    axis, which starts from its identity (-0.0 + -0.0 gives +0.0).
+    """
+    if increments.shape[-2] % 2 != 0:
         raise ValueError("fine step count must be even")
-    shape = increments.shape[:-2] + (m // 2, 2, increments.shape[-1])
-    return increments.reshape(shape).sum(axis=-2)
+    out = 0.0 + increments[..., 0::2, :]
+    out += increments[..., 1::2, :]
+    return out
 
 
 def quantized_increments_from_normals(normals: np.ndarray, m: int,
@@ -189,11 +193,15 @@ def gbm_strong_error_vs_exact(mu: float, sigma: float, x0: float, m: int,
 
 
 def sup_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-path sup distance for two batches on the SAME breakpoint grid.
-
-    Both paths of a pair are piecewise linear on that grid, so their
-    distance over [0,1] attains its maximum at a breakpoint.
+    """The one sup-distance kernel: per path of a batch a (..., m+1, r), the
+    max over breakpoints of the Euclidean distance to b, a batch of a's
+    shape on the SAME grid or one point (r,). Piecewise-linear paths attain
+    their sup distance at a breakpoint. Squares add over component planes
+    in numpy's norm order, (s0 + s1) + s2 ..., and sqrt is monotone, so the
+    floats are those of max_k |a_k - b_k|, bit for bit.
     """
-    if a.shape != b.shape:
-        raise ValueError("batches must share shape (n, m+1, r)")
-    return np.max(np.linalg.norm(a - b, axis=-1), axis=-1)
+    if b.shape != a.shape and b.shape != a.shape[-1:]:
+        raise ValueError("b must have the shape of a, or (r,)")
+    sq = reduce(add, ((a[..., i] - b[..., i]) ** 2
+                      for i in range(a.shape[-1])))
+    return np.sqrt(np.max(sq, axis=-1))

@@ -11,6 +11,8 @@ from typing import Callable
 
 import numpy as np
 
+from .euler import sup_distance_batch
+
 
 @dataclass(frozen=True)
 class Functional:
@@ -36,17 +38,14 @@ def _time_average(values: np.ndarray) -> np.ndarray:
 
 
 def make_distance_to_ref(ref: np.ndarray) -> Functional:
-    """sup_t |x(t) - ref| for a constant reference point ref in R^r.
+    """sup_t |x(t) - ref| for a constant reference point ref in R^r: the one
+    sup-distance kernel, euler.sup_distance_batch, in its point form.
 
     1-Lipschitz by the triangle inequality for the sup distance.
     """
     ref = np.asarray(ref, dtype=float)
-
-    def ev(values: np.ndarray) -> np.ndarray:
-        return np.max(np.linalg.norm(values - ref, axis=-1), axis=-1)
-
     return Functional(label="distance_to_ref", lipschitz_bound=1.0,
-                      eval_batch=ev)
+                      eval_batch=lambda v: sup_distance_batch(v, ref))
 
 
 def make_constant(c: float) -> Functional:

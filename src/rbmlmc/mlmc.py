@@ -28,6 +28,7 @@ import numpy as np
 
 from .bakhvalov import logarithmic_outputs, quadratic_outputs
 from .bitsource import BitSource
+from .errors import FeasibilityError
 from .euler import (bit_increments, classical_increments, coarse_from_fine,
                     euler_paths_batch)
 from .functionals import Functional
@@ -83,6 +84,9 @@ def params_for_eps(epsilon: float, variant: str) -> MLMCParams:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     x = 1 / (Fraction(epsilon) ** 2)  # eps^-2, exact
+    if x > np.finfo(float).max:
+        raise ValueError(f"epsilon^-2 exceeds the float range, got epsilon "
+                         f"= {epsilon!r}")
     if x.denominator == 1 and x.numerator & (x.numerator - 1) == 0:
         t = x.numerator.bit_length() - 1  # log2(eps^-2), exact integer
         L = t + (t - 1).bit_length()      # ceil(t + log2 t)
@@ -163,6 +167,12 @@ def run(p: SDEProblem, f: Functional, params: MLMCParams,
     if params.q is not None and params.q > MAX_DEPTH:
         raise ValueError(f"quantization depth q = {params.q} exceeds "
                          f"{MAX_DEPTH}")
+    # a level's largest array, increments or paths, must fit numpy's index
+    for level, N in enumerate(params.N):
+        nbytes = N * ((1 << level) + 1) * max(p.d, p.r) * 8
+        if nbytes > np.iinfo(np.intp).max:
+            raise FeasibilityError(f"level {level} needs one array of about "
+                                   f"2^{nbytes.bit_length() - 1} bytes")
     ledger = CostLedger()
     levels = []
     estimate = 0.0

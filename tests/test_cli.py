@@ -128,11 +128,16 @@ BAD_CONFIGS = [
     ["oracle", "--m", "1", "--q", "-1"],
     ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6", "--d", "0"],
     ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6", "--d", "-1"],
-    # eps^-2 past the float range
-    ["run", "--variant", "bit", "--eps", "1e-300", "--seeds", "0"],
-    ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,1e-300"],
-    ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-600"],
 ]
+# eps^-2 past the float range, with the eps the message must name
+EPS_OVERFLOW = [
+    (["run", "--variant", "bit", "--eps", "1e-300", "--seeds", "0"],
+     "1e-300"),
+    (["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,1e-300"], "1e-300"),
+    (["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-600"],
+     repr(2.0 ** -600)),
+]
+BAD_CONFIGS += [args for args, _ in EPS_OVERFLOW]
 
 
 @pytest.mark.parametrize("args", BAD_CONFIGS, ids=lambda a: " ".join(a))
@@ -147,18 +152,33 @@ def test_config_error_writes_nothing(args, capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("args,value", EPS_OVERFLOW,
+                         ids=lambda a: " ".join(a) if isinstance(a, list)
+                         else a)
+def test_eps_overflow_message_names_the_value(args, value, capsys):
+    code, _, err = run_cli(args + ["--out", "-"], capsys)
+    assert code == 2
+    assert f"got epsilon = {value}\n" in err
+
+
 def test_run_infeasible_schedule_exit_3(capsys, tmp_path):
     # classical eps = 1e-7 asks for 38 PiB of level-0 normals: the
-    # allocation fails at once on any 64-bit machine
-    args = ["run", "--variant", "classical", "--eps", "1e-7", "--seeds", "0"]
-    code, out, err = run_cli(args + ["--out", "-"], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("feasibility error: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    target = tmp_path / "out.csv"
-    assert run_cli(args + ["--out", str(target)], capsys)[0] == 3
-    assert not target.exists()
+    # allocation fails at once on any 64-bit machine. eps = 1e-30 and
+    # 2^-200 ask for more bytes than one numpy array can index, which run
+    # refuses, naming the level, before anything is drawn.
+    for eps, level in ((["--eps", "1e-7"], None),
+                       (["--eps", "1e-30"], "level 0 "),
+                       (["--eps-grid", "2^-200"], "level 0 ")):
+        args = ["run", "--variant", "classical", *eps, "--seeds", "0"]
+        code, out, err = run_cli(args + ["--out", "-"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("feasibility error: ")
+        assert level is None or level in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        target = tmp_path / "out.csv"
+        assert run_cli(args + ["--out", str(target)], capsys)[0] == 3
+        assert not target.exists()
 
 
 def test_seed_range_ends_are_accepted(capsys):
@@ -171,15 +191,23 @@ def test_seed_range_ends_are_accepted(capsys):
 
 def test_run_csv_matches_baseline_hashes(capsys):
     # sha256 prefixes of the committed baseline: any change to the arithmetic
-    # or the CSV format of `run` shows here
-    expected = {"classical": "bfa1311e81a86902", "bit": "df2966c85d28d333",
-                "bbit": "94d48fe63dc0f6df", "bbit-log": "21809a3ee4566d70"}
-    for variant, prefix in expected.items():
-        code, out, _ = run_cli(["run", "--variant", variant, "--eps",
-                                "0.0625", "--seeds", "0,1,2", "--out", "-"],
-                               capsys)
+    # or the CSV format of `run` shows here. The last two pin r = 2: the
+    # coarse sums and the sup distance over two components.
+    expected = [(["run", "--variant", variant, "--eps", "0.0625", "--seeds",
+                  "0,1,2"], prefix) for variant, prefix in (
+        ("classical", "bfa1311e81a86902"), ("bit", "df2966c85d28d333"),
+        ("bbit", "94d48fe63dc0f6df"), ("bbit-log", "21809a3ee4566d70"))]
+    expected += [
+        (["run", "--variant", "classical", "--sde", "linear2d",
+          "--functional", "distance_to_ref", "--eps", "0.0625", "--seeds",
+          "0,1,2"], "cf5c29947b74f7d1"),
+        (["strong-error", "--mode", "quantization", "--sde", "linear2d",
+          "--m", "64", "--reps", "500", "--q-min", "2", "--q-max", "6"],
+         "6f1f4c37c0ca2079")]
+    for args, prefix in expected:
+        code, out, _ = run_cli(args + ["--out", "-"], capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix, args
 
 
 def test_strong_error_quantization(capsys):

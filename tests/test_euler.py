@@ -150,6 +150,12 @@ def test_sup_distance_identity_and_constants():
 def test_sup_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         sup_distance_batch(np.zeros((1, 2, 1)), np.zeros((1, 2, 2)))
+    # b is a batch of a's shape or one point (r,), nothing in between
+    a = np.zeros((2, 3, 2))
+    for b in (np.zeros((3, 2)), np.zeros(3), np.zeros((1, 3, 2)),
+              np.zeros(())):
+        with pytest.raises(ValueError):
+            sup_distance_batch(a, b)
 
 
 def test_sup_distance_batch_matches_scalar():
@@ -165,6 +171,61 @@ def test_sup_distance_batch_matches_scalar():
 def test_coupled_pair_requires_even_m():
     with pytest.raises(ValueError):
         coarse_from_fine(np.zeros((1, 3, 1)))
+
+
+# Frozen copies of the two kernels as they were before they worked on
+# component planes; the planes must give the same floats, bit for bit.
+def _coarse_axis_sum(increments):
+    m = increments.shape[-2]
+    shape = increments.shape[:-2] + (m // 2, 2, increments.shape[-1])
+    return increments.reshape(shape).sum(axis=-2)
+
+
+def _sup_norm(a, b):
+    return np.max(np.linalg.norm(a - b, axis=-1), axis=-1)
+
+
+def _mixed(rng, shape):
+    """Normals over 16 binades, and about one entry in eight special."""
+    x = rng.standard_normal(shape) * np.exp2(rng.integers(-8, 8, shape))
+    special = rng.random(shape) < 0.125
+    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                            size=int(special.sum()))
+    return x
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64),
+                                                 y.view(np.int64))
+
+
+_LEADS = [(), (7,), (4, 5)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lead", _LEADS)
+def test_coarse_from_fine_bitwise_equals_axis_sum(d, lead):
+    v = _mixed(np.random.default_rng(d), lead + (16, d))
+    v[..., :2, :] = -0.0  # the axis sum gives +0.0 here, not -0.0 + -0.0
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(coarse_from_fine(v), _coarse_axis_sum(v))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("lead", _LEADS)
+def test_sup_distance_bitwise_equals_norm(r, lead):
+    rng = np.random.default_rng(10 + r)
+    shape = lead + (9, r)
+    # plain normals: comparable components, so a change in the order of
+    # the sum of squares shows in the last bits
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert _same_bits(sup_distance_batch(a, b), _sup_norm(a, b))
+    a, b = _mixed(rng, shape), _mixed(rng, shape)
+    point = _mixed(rng, (r,))
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(sup_distance_batch(a, b), _sup_norm(a, b))
+        assert _same_bits(sup_distance_batch(a, point), _sup_norm(a, point))
 
 
 # Frozen reference: the sequential Euler loop and the preset coefficient

@@ -44,6 +44,22 @@ def test_distance_to_ref_constant_reference():
     assert at(f, [[1.0], [1.8], [0.5]]) == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_distance_to_ref_bitwise_equals_norm(r):
+    # the expression distance_to_ref evaluated before it called the one
+    # sup-distance kernel: the floats must not change
+    rng = np.random.default_rng(r)
+    values = rng.standard_normal((6, 17, r))
+    values[0, 3] = np.nan
+    values[1, 5, 0] = np.inf
+    values[2, 0] = -0.0
+    ref = rng.standard_normal(r)
+    with np.errstate(invalid="ignore"):
+        old = np.max(np.linalg.norm(values - ref, axis=-1), axis=-1)
+        new = preset_functional("distance_to_ref", x0=ref).eval_batch(values)
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
 def test_lipschitz_spot_check_all_presets():
     rng = np.random.default_rng(0)
     names = preset_functional_names()
