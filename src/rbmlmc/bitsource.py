@@ -7,11 +7,14 @@ chunked, and distinct stream_ids give independent-looking substreams.
 
 Dyadic uniforms live on the grid of cell midpoints
 {sum_i b_i 2^-i + 2^-(q+1) : b_i in {0,1}}, i.e. (numerator + 1/2) / 2^q
-with numerator assembled most-significant-bit first from q fresh bits,
-read whole-array straight out of the 64-bit blocks.
+with numerator assembled most-significant-bit first from q fresh bits.
+Numerators are read in periods of lcm(q, 64) bits, in which numerator j
+always sits at the same block and shift, so each is one column of shifts.
 enumerate_numerators applies the same reading to every bit string at once,
 which is the ground truth of the exact enumeration checks.
 """
+
+import math
 
 import numpy as np
 
@@ -23,12 +26,13 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix64(z):
-    """splitmix64 finalizer, elementwise on uint64."""
-    z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, in place on a uint64 array; returns z."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class BitSource:
@@ -38,15 +42,16 @@ class BitSource:
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
         self.bits_consumed = 0
-        with np.errstate(over="ignore"):
-            k = _mix64(np.uint64(self.seed))
-            k = _mix64((k + _GOLDEN) ^ _mix64(np.uint64(self.stream_id) + _GOLDEN))
-        self._key = k
+        k = _mix64(np.array([self.seed, self.stream_id], dtype=np.uint64)
+                   + np.array([0, _GOLDEN], dtype=np.uint64))
+        k[:1] += _GOLDEN
+        self._key = _mix64(k[:1] ^ k[1:])[0]
 
     def _blocks(self, first: int, count: int) -> np.ndarray:
-        idx = np.arange(first, first + count, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return _mix64(self._key + (idx + np.uint64(1)) * _GOLDEN)
+        z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+        z *= _GOLDEN
+        z += self._key
+        return _mix64(z)
 
     def draw_bits(self, n: int) -> np.ndarray:
         """Next n bits as a uint8 array; advances bits_consumed by n."""
@@ -67,22 +72,45 @@ class BitSource:
         """Array of independent q-bit numerators; consumes q*prod(shape) bits.
 
         Numerator j is the q-bit field at the j*q-th next stream position,
-        most significant bit first, cut from the two 64-bit blocks it may
-        straddle (one extra block is fetched; a shift by 64 gives 0).
+        most significant bit first. A period of lcm(q, 64) bits spans P
+        blocks and holds K numerators, the j-th at the same block and shift
+        in every period. The blocks, realigned once to the stream position,
+        are laid out as (P, periods), and numerator column j is cut from one
+        block row, or two where it straddles, by whole-row shifts.
         """
         if not 1 <= q <= 63:
             raise ValueError(f"q must lie in 1..63, got {q}")
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
+        if any(n < 0 for n in shape):
+            raise ValueError(f"shape must be non-negative, got {shape}")
         total = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        per = math.lcm(q, 64)
+        P, K = per // 64, per // q
+        periods = -(-total // K)
         first, off = divmod(self.bits_consumed, 64)
-        blk = self._blocks(first, (off + total * q - 1) // 64 + 2)
-        s = np.arange(off, off + total * q, q, dtype=np.uint64)
-        r = s & np.uint64(63)
-        s >>= np.uint64(6)
-        words = blk[s] << r
-        words |= blk[s + 1] >> (np.uint64(64) - r)
+        blk = self._blocks(first, periods * P + 1)
+        if off:  # realign the stream so that it starts at a block boundary
+            tail = blk[1:] >> np.uint64(64 - off)
+            blk <<= np.uint64(off)
+            blk[:-1] |= tail
+            del tail
+        rows = np.ascontiguousarray(blk[:-1].reshape(periods, P).T)
+        del blk
+        cols = np.empty((K, periods), dtype=np.uint64)
+        spill = np.empty(periods, dtype=np.uint64)
+        for j in range(K):
+            b, r = divmod(j * q, 64)
+            if r + q <= 64:
+                np.right_shift(rows[b], np.uint64(64 - r - q), out=cols[j])
+            else:
+                np.left_shift(rows[b], np.uint64(r + q - 64), out=cols[j])
+                np.right_shift(rows[b + 1], np.uint64(128 - r - q), out=spill)
+                cols[j] |= spill
+        del rows, spill
+        cols &= np.uint64((1 << q) - 1)
         self.bits_consumed += total * q
-        return (words >> np.uint64(64 - q)).astype(np.int64).reshape(shape)
+        return (np.ascontiguousarray(cols.view(np.int64).T)
+                .reshape(-1)[:total].reshape(shape))
 
     def draw_dyadic_values(self, q: int, shape) -> np.ndarray:
         """Array of independent dyadic uniforms in (0,1) at depth q."""

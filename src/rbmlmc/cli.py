@@ -45,14 +45,19 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_grid(text: str) -> list[float]:
+    """--eps-grid entries: floats or base^exp powers such as 2^-4."""
     out = []
     for s in text.split(","):
         s = s.strip()
-        if "^" in s:  # allow 2^-4 style entries
-            base, exp = s.split("^")
-            out.append(float(base) ** float(exp))
-        else:
-            out.append(float(s))
+        try:
+            if "^" in s:
+                base, exp = s.split("^")
+                out.append(math.pow(float(base), float(exp)))
+            else:
+                out.append(float(s))
+        except (ValueError, OverflowError) as exc:  # 10^400, 0^-1, -8^0.5
+            raise ValueError(f"--eps-grid entry {s} is not a finite float "
+                             f"or base^exp power: {exc}") from None
     return out
 
 
@@ -326,7 +331,8 @@ def main(argv=None) -> int:
         # a schedule too large for this machine, e.g. 38 PiB of normals
         print(f"feasibility error: out of memory: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as exc:  # overflow: a 10^400 entry
+    # OverflowError: a safety net; the parsers and checks name their inputs
+    except (ValueError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

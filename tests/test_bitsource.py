@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,3 +138,86 @@ def test_numerators_straddling_words_and_depth_cap():
     with pytest.raises(ValueError):
         src.draw_dyadic_numerators(64, 1)
     assert src.bits_consumed == 60 + 4 * 63
+
+
+# Frozen copy of the source before the period-column cutter: the scalar
+# splitmix64 key derivation, the copying finalizer and the gather cutter that
+# reads each numerator from the two blocks it may straddle.
+_FROZEN_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _frozen_mix64(z):
+    z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _frozen_numerators(seed, stream_id, position, q, shape):
+    g = _FROZEN_GOLDEN
+    with np.errstate(over="ignore"):
+        k = _frozen_mix64(np.uint64(seed))
+        key = _frozen_mix64((k + g) ^ _frozen_mix64(np.uint64(stream_id) + g))
+    shape = (shape,) if np.isscalar(shape) else tuple(shape)
+    total = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    first, off = divmod(position, 64)
+    count = (off + total * q - 1) // 64 + 2
+    idx = np.arange(first, first + count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        blk = _frozen_mix64(key + (idx + np.uint64(1)) * g)
+    s = np.arange(off, off + total * q, q, dtype=np.uint64)
+    r = s & np.uint64(63)
+    s >>= np.uint64(6)
+    words = blk[s] << r
+    words |= blk[s + 1] >> (np.uint64(64) - r)
+    return (words >> np.uint64(64 - q)).astype(np.int64).reshape(shape)
+
+
+_SHAPES = st.one_of(
+    st.just(()), st.just((0, 4)), st.tuples(st.integers(0, 300)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)))
+
+
+@given(q=st.integers(1, 63), offset=st.integers(0, 200),
+       shapes=st.lists(_SHAPES, min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_period_columns_equal_frozen_gather_cutter(q, offset, shapes, seed,
+                                                   stream):
+    src = BitSource(seed, stream)
+    src.draw_bits(offset)
+    for shape in shapes:
+        position = src.bits_consumed
+        ref = _frozen_numerators(seed, stream, position, q, shape)
+        out = src.draw_dyadic_numerators(q, shape)
+        assert out.dtype == np.int64 and out.shape == ref.shape
+        assert np.array_equal(out, ref)
+        assert src.bits_consumed == position + ref.size * q
+
+
+@pytest.mark.parametrize("offset", [0, 5])
+@pytest.mark.parametrize("q", [1, 16, 21])
+def test_numerator_draw_memory(q, offset):
+    # the level-16 shape of epsilon = 2^-6: the gather cutter peaked at
+    # 5.0-5.3 times the returned bytes
+    src = BitSource(9, 2)
+    src.draw_bits(offset)
+    tracemalloc.start()
+    try:
+        out = src.draw_dyadic_numerators(q, (17, 65536, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.nbytes
+
+
+@pytest.mark.parametrize("shape", [(-1,), (2, -3), -4])
+def test_negative_dimension_leaves_counter_unchanged(shape):
+    src = BitSource(6, 1)
+    src.draw_bits(9)
+    with pytest.raises(ValueError, match="non-negative"):
+        src.draw_dyadic_numerators(4, shape)
+    assert src.bits_consumed == 9
+    assert src.draw_dyadic_numerators(4, 2).shape == (2,)
+    assert src.bits_consumed == 17

@@ -138,6 +138,18 @@ EPS_OVERFLOW = [
      repr(2.0 ** -600)),
 ]
 BAD_CONFIGS += [args for args, _ in EPS_OVERFLOW]
+# --eps-grid entries with no finite float value, with the entry the message
+# must name beside the flag
+GRID_ENTRY = [
+    (["run", "--variant", "bit", "--eps-grid", "10^400", "--seeds", "0"],
+     "10^400"),
+    (["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,10^400"], "10^400"),
+    (["run", "--variant", "bit", "--eps-grid", "0^-1", "--seeds", "0"],
+     "0^-1"),
+    (["run", "--variant", "bit", "--eps-grid=-8^0.5", "--seeds", "0"],
+     "-8^0.5"),
+]
+BAD_CONFIGS += [args for args, _ in GRID_ENTRY]
 
 
 @pytest.mark.parametrize("args", BAD_CONFIGS, ids=lambda a: " ".join(a))
@@ -159,6 +171,15 @@ def test_eps_overflow_message_names_the_value(args, value, capsys):
     code, _, err = run_cli(args + ["--out", "-"], capsys)
     assert code == 2
     assert f"got epsilon = {value}\n" in err
+
+
+@pytest.mark.parametrize("args,entry", GRID_ENTRY,
+                         ids=lambda a: " ".join(a) if isinstance(a, list)
+                         else a)
+def test_grid_entry_message_names_flag_and_entry(args, entry, capsys):
+    code, _, err = run_cli(args + ["--out", "-"], capsys)
+    assert code == 2
+    assert err.startswith(f"configuration error: --eps-grid entry {entry} ")
 
 
 def test_run_infeasible_schedule_exit_3(capsys, tmp_path):
