@@ -80,9 +80,10 @@ def _functional_for(args, problem):
 def cmd_run(args) -> int:
     problem = sde.preset(args.sde)
     f = _functional_for(args, problem)
-    eps_values = _parse_grid(args.eps_grid) if args.eps_grid else [args.eps]
-    if any(e is None for e in eps_values):
-        raise ValueError("provide --eps or --eps-grid")
+    if (args.eps is None) == (args.eps_grid is None):
+        raise ValueError("provide exactly one of --eps and --eps-grid")
+    eps_values = ([args.eps] if args.eps_grid is None
+                  else _parse_grid(args.eps_grid))
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ValueError("provide at least one seed in --seeds")

@@ -21,8 +21,9 @@ from .sde import SDEProblem, make_gbm
 
 # The scan runs time chunks of T = min(m, _SCAN_STEPS) steps over balanced
 # row blocks of at most _SCAN_ELEMS // T paths, which bounds its scratch
-# memory (under 10 MB for d = r = 2). T follows from m alone and paths are
-# independent, so a path's floats do not depend on the batch it is run in.
+# memory (tracemalloc peak 7.3 MiB for d = r = 2, 3.1 MiB for gbm). T follows
+# from m alone and paths are independent, so a path's floats do not depend
+# on the batch it is run in.
 _SCAN_STEPS = 1 << 10
 _SCAN_ELEMS = 1 << 16
 
@@ -38,59 +39,107 @@ def euler_paths_batch(p: SDEProblem, increments: np.ndarray,
     out[:, 0, :] = p.x0
     chunk = max(1, min(m, _SCAN_STEPS))
     blocks = -(-n // (_SCAN_ELEMS // chunk))
+    plan = _scan_plan(p, m)
     for i in range(blocks):
         rows = slice(i * n // blocks, (i + 1) * n // blocks)
-        _affine_scan(p, increments[rows], out[rows], chunk)
+        _affine_scan(plan, increments[rows], out[rows], chunk)
     if ledger is not None:
         ledger.coeff_evals += 2 * n * m
     return out
 
 
-def _affine_scan(p: SDEProblem, increments: np.ndarray, out: np.ndarray,
+def _scan_plan(p: SDEProblem, m: int):
+    """The scan's terms that are not identically zero. Column r of a map
+    [M_k | c_k] is c_k = a0/m + b0 dW_k. M_k's pattern is closed under
+    products (prefix maps fill entries in), c's rows under c <- M c + c.
+    Per entry (i, k): constant, noise terms (b, j), the l of its products;
+    per row: its pattern columns below r, and whether c is nonzero there."""
+    nz = np.eye(p.r, dtype=bool) | (p.A != 0) | (p.B != 0).any(axis=1)
+    nz = np.linalg.matrix_power(nz, p.r)
+    nz = np.c_[nz, nz @ ((p.a0 != 0) | (p.b0 != 0).any(axis=1))]
+    const = np.c_[np.eye(p.r) + p.A / m, p.a0 / m]
+    slope = np.concatenate([p.B, p.b0[:, :, None]], axis=2)
+    rows = [(np.flatnonzero(z[:-1]).tolist(), z[-1]) for z in nz]
+    maps = [(i, k, const[i, k],
+             [(b, j) for j, b in enumerate(slope[i, :, k]) if b],
+             [l for l in rows[i][0] if nz[l, k]])
+            for i in range(p.r) for k in np.flatnonzero(nz[i]).tolist()]
+    return maps, rows
+
+
+def _fold(pairs, plus=None):
+    """a0 b0 + a1 b1 + ..., added left to right, + plus if given."""
+    acc = reduce(add, (a * b for a, b in pairs))
+    if plus is not None:
+        acc += plus
+    return acc
+
+
+def _recur(terms):
+    """For steps j = 1, 2, ... in turn, each term (out, pairs, plus) sets
+    out[j] to the _fold of a[j-1] b[j-1] over its pairs (a, b), + plus[j-1]
+    if plus is not None; all are sequences over steps, read as lists."""
+    terms = [(list(out), [(list(a), list(b)) for a, b in pairs],
+              plus is not None and list(plus)) for out, pairs, plus in terms]
+    for j in range(1, len(terms[0][0])):
+        for out, pairs, plus in terms:
+            a, b = pairs[0]
+            acc = np.multiply(a[j - 1], b[j - 1], out=out[j])
+            for a, b in pairs[1:]:
+                acc += a[j - 1] * b[j - 1]
+            if plus:
+                acc += plus[j - 1]
+
+
+def _affine_scan(plan, increments: np.ndarray, out: np.ndarray,
                  chunk: int) -> None:
     """Fill out[:, 1:] from out[:, 0] with the Euler step written as an
-    affine map x_{k+1} = M_k x_k + c_k, M_k = I + A/m + sum_j B[:, j] dW_kj,
-    c_k = a0/m + b0 dW_k. Each time chunk of T steps is split into blocks of
-    about sqrt(T) steps: prefix maps are composed inside every block at
-    once, the block start states are carried, and every state is filled in,
-    in about 2 sqrt(T) Python iterations. Floats are reassociated, so states
-    agree with the loop x + a(x)/m + b(x) dW_k to about T * 1e-16 relative.
-    Map components lead the arrays (M: (r, r, step, path, block), c: (r,
-    step, path, block)); products are summed component by component, as
-    numpy is slow on many tiny matrices.
+    affine map x_{k+1} = M_k x_k + c_k, M_k = I + A/m + sum_j B[:, j] dW_kj.
+    Each time chunk of T steps is split into blocks of about sqrt(T) steps:
+    prefix maps are composed inside every block at once, the block start
+    states are carried, and every state is filled in, in about 2 sqrt(T)
+    Python iterations. Floats are reassociated, so states agree with the
+    loop x + a(x)/m + b(x) dW_k to about T * 1e-16 relative. Only the terms
+    of `_scan_plan` are formed, each sum in the order of the dense sum over
+    all components, so states are the dense scan's bit for bit, except that
+    an exact-zero state may change sign (zero_noise from x0 = -0.0 stays
+    -0.0; adding c = +0.0 gave +0.0) and that an absent term's 0 * inf = nan
+    is not formed (a gbm step with dW = inf gives inf, not nan).
     """
+    maps, rows = plan
     n, m, d = increments.shape
-    comps = range(p.r)
-    I_A = (np.eye(p.r) + p.A / m)[:, :, None, None, None]
-    a0 = (p.a0 / m)[:, None, None, None]
+    r = len(rows)
     for k0 in range(0, m, chunk):
         t = min(chunk, m - k0)
         s = 1 << (t.bit_length() // 2)          # steps per block
         nb = -(-t // s)                          # blocks in the chunk
         # dw: (d, s, n, nb). Padding steps only follow the chunk's last
         # state, so they change nothing that is kept.
-        dw = np.zeros((n, nb * s, d))
-        dw[:, :t] = increments[:, k0:k0 + t]
+        dw = increments[:, k0:k0 + t]
+        if t < nb * s:
+            dw = np.concatenate([dw, np.zeros((n, nb * s - t, d))], axis=1)
         dw = dw.reshape(n, nb, s, d).transpose(3, 2, 0, 1).copy()
-        M = I_A + reduce(add, (p.B[:, j, :, None, None, None] * dw[j]
-                                for j in range(d)))
-        c = a0 + reduce(add, (p.b0[:, j, None, None, None] * dw[j]
-                               for j in range(d)))
-        # in-block prefix maps: M_j <- M_j M_{j-1}, c_j <- M_j c_{j-1} + c_j
-        for j in range(1, s):
-            mj = M[:, :, j]
-            c[:, j] += reduce(add, (mj[:, k] * c[k, j - 1] for k in comps))
-            M[:, :, j] = reduce(add, (mj[:, k, None] * M[k, :, j - 1]
-                                      for k in comps))
-        # block start states xs: (r, n, nb)
-        xs = np.empty((p.r, n, nb))
+        # one-step maps S: (s, n, nb) planes, or s constants; in-block prefix
+        # maps M: (r, r + 1, s, n, nb), summed plane by plane, as numpy is
+        # slow on many tiny matrices
+        S = {(i, k): _fold([(b, dw[j]) for b, j in noise], const or None)
+             if noise else [const] * s for i, k, const, noise, _ in maps}
+        M = np.empty((r, r + 1, s, n, nb))
+        for i, k, *_ in maps:
+            M[i, k, 0] = S[i, k][0]
+        _recur([(M[i, k], [(S[i, l][1:], M[l, k]) for l in ls],
+                 S[i, k][1:] if k == r else None)
+                for i, k, _, _, ls in maps])
+        # block start states xs: (r, n, nb), carried over the blocks
+        xs = np.empty((r, n, nb))
         xs[:, :, 0] = out[:, k0].T
-        for b in range(1, nb):
-            xs[:, :, b] = c[:, -1, :, b - 1] + reduce(add, (
-                M[:, k, -1, :, b - 1] * xs[k, :, b - 1] for k in comps))
-        x = c + reduce(add, (M[:, k] * xs[k] for k in comps))  # (r, s, n, nb)
-        out[:, k0 + 1:k0 + 1 + t] = \
-            x.transpose(2, 3, 1, 0).reshape(n, nb * s, p.r)[:, :t]
+        _recur([(xs[i].T, [(M[i, k, -1].T, xs[k].T) for k in ks],
+                 M[i, r, -1].T if c else None)
+                for i, (ks, c) in enumerate(rows)])
+        for i, (ks, c) in enumerate(rows):
+            x = _fold([(M[i, k], xs[k]) for k in ks], M[i, r] if c else None)
+            out[:, k0 + 1:k0 + 1 + t, i] = \
+                x.transpose(1, 2, 0).reshape(n, nb * s)[:, :t]
 
 
 def classical_increments(rng: np.random.Generator, m: int, d: int, n: int,
@@ -142,15 +191,19 @@ def quantized_increments_from_normals(normals: np.ndarray, m: int,
 def bit_vs_classical_sup_sq(p: SDEProblem, m: int, q: int, reps: int,
                             seed: int) -> float:
     """Mean squared sup-distance between the classical and bit schemes when
-    both are driven by the SAME normals (V = m^-1/2 Y vs m^-1/2 Y^(q))."""
+    both are driven by the SAME normals (V = m^-1/2 Y vs m^-1/2 Y^(q)).
+    Replications run in blocks of about 2^20 normals, drawn in order, and
+    the one mean is taken over all their sup distances."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
-    y = rng.standard_normal((reps, m, p.d))
-    v_c = y / math.sqrt(m)
-    v_bit = quantized_increments_from_normals(v_c, m, q)
-    a = euler_paths_batch(p, v_c)
-    b = euler_paths_batch(p, v_bit)
-    return float(np.mean(sup_distance_batch(a, b) ** 2))
+    sups = np.empty(reps)
+    size = max(1, (1 << 20) // (m * p.d))
+    for i in range(0, reps, size):
+        v_c = rng.standard_normal((min(size, reps - i), m, p.d)) / math.sqrt(m)
+        v_bit = quantized_increments_from_normals(v_c, m, q)
+        sups[i:i + size] = sup_distance_batch(euler_paths_batch(p, v_c),
+                                              euler_paths_batch(p, v_bit))
+    return float(np.mean(sups ** 2))
 
 
 # Replications per block of gbm_strong_error_vs_exact: its arrays are

@@ -150,6 +150,10 @@ GRID_ENTRY = [
      "-8^0.5"),
 ]
 BAD_CONFIGS += [args for args, _ in GRID_ENTRY]
+# both ε flags: --eps used to be dropped without a word
+EPS_AND_GRID = ["run", "--variant", "classical", "--eps-grid", "0.25",
+                "--eps", "0.1"]
+BAD_CONFIGS.append(EPS_AND_GRID)
 
 
 @pytest.mark.parametrize("args", BAD_CONFIGS, ids=lambda a: " ".join(a))
@@ -180,6 +184,12 @@ def test_grid_entry_message_names_flag_and_entry(args, entry, capsys):
     code, _, err = run_cli(args + ["--out", "-"], capsys)
     assert code == 2
     assert err.startswith(f"configuration error: --eps-grid entry {entry} ")
+
+
+def test_eps_and_eps_grid_message_names_both(capsys):
+    code, _, err = run_cli(EPS_AND_GRID + ["--out", "-"], capsys)
+    assert code == 2
+    assert "--eps " in err and "--eps-grid" in err
 
 
 def test_run_infeasible_schedule_exit_3(capsys, tmp_path):

@@ -1,17 +1,23 @@
 import math
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmlmc.bitsource import BitSource
 from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_STEPS, bit_increments,
-                          classical_increments, coarse_from_fine,
-                          euler_paths_batch, gbm_strong_error_vs_exact,
+                          bit_vs_classical_sup_sq, classical_increments,
+                          coarse_from_fine, euler_paths_batch,
+                          gbm_strong_error_vs_exact,
+                          quantized_increments_from_normals,
                           sup_distance_batch)
 from rbmlmc.ledger import CostLedger
 from rbmlmc.qnormal import normal_quantile
-from rbmlmc.sde import make_gbm, make_zero_noise, preset
+from rbmlmc.sde import SDEProblem, make_gbm, make_zero_noise, preset
 
 Q3 = 0.674489750196082  # quantile(3/4)
 
@@ -337,4 +343,180 @@ def test_strong_error_memory_bounded_in_reps():
     finally:
         tracemalloc.stop()
     assert 0 < msd < 1e-3
+    assert peak < 64 * 2 ** 20
+
+
+# Frozen copy of the dense affine scan, as it was before the scan skipped the
+# terms that are identically zero: every entry of M_k and every row of c_k,
+# summed over all components. The structural-zero scan must give its floats.
+def _dense_scan(p, increments, out, chunk):
+    n, m, d = increments.shape
+    comps = range(p.r)
+    I_A = (np.eye(p.r) + p.A / m)[:, :, None, None, None]
+    a0 = (p.a0 / m)[:, None, None, None]
+    for k0 in range(0, m, chunk):
+        t = min(chunk, m - k0)
+        s = 1 << (t.bit_length() // 2)
+        nb = -(-t // s)
+        dw = np.zeros((n, nb * s, d))
+        dw[:, :t] = increments[:, k0:k0 + t]
+        dw = dw.reshape(n, nb, s, d).transpose(3, 2, 0, 1).copy()
+        M = I_A + reduce(add, (p.B[:, j, :, None, None, None] * dw[j]
+                                for j in range(d)))
+        c = a0 + reduce(add, (p.b0[:, j, None, None, None] * dw[j]
+                               for j in range(d)))
+        for j in range(1, s):
+            mj = M[:, :, j]
+            c[:, j] += reduce(add, (mj[:, k] * c[k, j - 1] for k in comps))
+            M[:, :, j] = reduce(add, (mj[:, k, None] * M[k, :, j - 1]
+                                      for k in comps))
+        xs = np.empty((p.r, n, nb))
+        xs[:, :, 0] = out[:, k0].T
+        for b in range(1, nb):
+            xs[:, :, b] = c[:, -1, :, b - 1] + reduce(add, (
+                M[:, k, -1, :, b - 1] * xs[k, :, b - 1] for k in comps))
+        x = c + reduce(add, (M[:, k] * xs[k] for k in comps))
+        out[:, k0 + 1:k0 + 1 + t] = \
+            x.transpose(2, 3, 1, 0).reshape(n, nb * s, p.r)[:, :t]
+
+
+def _dense_paths(p, increments):
+    n, m, _ = increments.shape
+    out = np.empty((n, m + 1, p.r))
+    out[:, 0, :] = p.x0
+    chunk = max(1, min(m, _SCAN_STEPS))
+    blocks = -(-n // (_SCAN_ELEMS // chunk))
+    for i in range(blocks):
+        rows = slice(i * n // blocks, (i + 1) * n // blocks)
+        _dense_scan(p, increments[rows], out[rows], chunk)
+    return out
+
+
+def _sequential_paths(p, increments):
+    """The Euler loop on the problem's own drift and diffusion."""
+    n, m, _ = increments.shape
+    out = np.empty((n, m + 1, p.r))
+    out[:, 0] = p.x0
+    for k in range(m):
+        x = out[:, k]
+        out[:, k + 1] = x + p.drift(x) / m + np.einsum(
+            "nrd,nd->nr", p.diffusion(x), increments[:, k])
+    return out
+
+
+def _equal_up_to_zero_sign(got, ref):
+    """Bitwise equal where ref is finite, but for the sign of a zero."""
+    finite = np.isfinite(ref)
+    return _same_bits((got + 0.0)[finite], (ref + 0.0)[finite])
+
+
+def _problem_from(label, A, a0, B, b0, x0):
+    return SDEProblem(label=label, r=len(x0), d=b0.shape[1], x0=x0, A=A,
+                      a0=a0, B=B, b0=b0, gamma=1.0)
+
+
+def _sparse(shape):
+    """Arrays with a random zero pattern and nonzero entries in [-1, 1]."""
+    entry = st.one_of(st.just(0.0), st.floats(-1, 1).filter(bool))
+    size = int(np.prod(shape))
+    return st.lists(entry, min_size=size, max_size=size).map(
+        lambda v: np.array(v).reshape(shape))
+
+
+@st.composite
+def _affine_problems(draw):
+    r, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x0 = np.array(draw(st.lists(st.floats(-2, 2).filter(bool),
+                                min_size=r, max_size=r)))
+    return _problem_from("random", draw(_sparse((r, r))),
+                         draw(_sparse((r,))), draw(_sparse((r, d, r))),
+                         draw(_sparse((r, d))), x0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=_affine_problems(), shape=st.sampled_from(SCAN_SHAPES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scan_bitwise_equals_frozen_dense_scan(p, shape, seed):
+    v = _increments(p, *shape, seed)
+    got, ref = euler_paths_batch(p, v), _dense_paths(p, v)
+    assert got.shape == ref.shape
+    assert _equal_up_to_zero_sign(got, ref)
+
+
+def _chain(d=2):
+    """r = 3: upper-bidiagonal A, noise only in B[2, :, 2], b0 only in row
+    2. M's pattern fills in at (0, 2) only through products, and c reaches
+    rows 1 and 0 only through c <- M c + c."""
+    A = np.array([[-0.3, 0.7, 0.0], [0.0, -0.2, 0.5], [0.0, 0.0, -0.4]])
+    B = np.zeros((3, d, 3))
+    B[2, :, 2] = 0.3 / np.arange(1, d + 1)
+    b0 = np.zeros((3, d))
+    b0[2] = 0.2 * np.arange(1, d + 1)
+    return _problem_from("chain", A, np.zeros(3), B, b0,
+                         np.array([1.0, -0.5, 0.25]))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_chain_problem_fill_in(d):
+    p = _chain(d)
+    for i, (n, m) in enumerate(SCAN_SHAPES):
+        v = _increments(p, n, m, 5000 + i)
+        got = euler_paths_batch(p, v)
+        assert _same_bits(got, _dense_paths(p, v))
+        ref = _sequential_paths(p, v)
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1))
+    # every row moves: the fill-in reaches row 0 through row 1
+    assert np.all(got[:, -1] != p.x0)
+
+
+def test_scan_zero_sign_and_nonfinite_differences():
+    # An exact-zero state may change sign: the dense scan added c = +0.0.
+    p = make_zero_noise(x0=-0.0)
+    v = np.zeros((1, 4, 1))
+    got, dense = euler_paths_batch(p, v), _dense_paths(p, v)
+    assert np.array_equal(got, dense)            # -0.0 == 0.0
+    assert np.all(np.signbit(got)) and not np.any(np.signbit(dense[:, 1:]))
+    # A structurally absent term gave 0 * inf = nan; here it is not formed.
+    g = make_gbm()
+    v = np.array([[[np.inf], [0.1]]])
+    with np.errstate(invalid="ignore"):
+        got, dense = euler_paths_batch(g, v), _dense_paths(g, v)
+    assert np.all(np.isinf(got[0, 1:])) and np.all(np.isnan(dense[0, 1:]))
+
+
+# Frozen copy of the strong-error quantization kernel as it was before it
+# ran in blocks of replications: every array at once, one mean.
+def _one_batch_sup_sq(p, m, q, reps, seed):
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
+    y = rng.standard_normal((reps, m, p.d))
+    v_c = y / math.sqrt(m)
+    v_bit = quantized_increments_from_normals(v_c, m, q)
+    a = euler_paths_batch(p, v_c)
+    b = euler_paths_batch(p, v_bit)
+    return float(np.mean(sup_distance_batch(a, b) ** 2))
+
+
+@pytest.mark.parametrize("name, m, reps", [
+    ("gbm", 4096, 1), ("gbm", 4096, 256), ("gbm", 4096, 257),
+    ("gbm", 4096, 600), ("linear2d", 2048, 1), ("linear2d", 2048, 513),
+    ("linear2d", 100, 777)])
+def test_strong_quantization_blocks_equal_one_batch(name, m, reps):
+    # a block holds 2^20 / (m d) replications: 256 at m = 4096, d = 1
+    p = preset(name)
+    for q in (2, 5):
+        got = bit_vs_classical_sup_sq(p, m, q, reps, seed=9)
+        assert got == _one_batch_sup_sq(p, m, q, reps, seed=9)
+
+
+def test_strong_quantization_memory_bounded_in_reps():
+    # At reps=16384, m=256 every (reps, m) array is 32 MiB; the blocks keep
+    # the peak near a few 8 MiB arrays.
+    tracemalloc.start()
+    try:
+        msd = bit_vs_classical_sup_sq(preset("gbm"), 256, 4, 16384, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < msd < 1e-2
     assert peak < 64 * 2 ** 20
