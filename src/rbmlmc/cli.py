@@ -4,13 +4,12 @@ Subcommands: run (multilevel estimates), strong-error (rate tables),
 bakhvalov-check (exact pairwise-independence tables), oracle (enumeration
 vs. Monte Carlo), cost-report (schedule bit counts and ratio bands).
 
-Output is RFC-4180-style CSV with '.' decimals. All results are a pure
-function of the configuration; --threads is accepted for interface
-stability but the vectorized execution gives identical output for any
-value. Exit codes: 0 success, 2 configuration error, 3 feasibility error
-(an enumeration over its cap, or an allocation that fails). The CSV
-commands compute every row before writing any, so an error leaves no
-partial output.
+Output is RFC-4180-style CSV with '.' decimals, one report line per
+check for bakhvalov-check. Results are a pure function of the
+configuration; --threads is accepted but changes nothing. Exit codes: 0
+success, 1 a failed bakhvalov-check, 2 configuration error, 3 feasibility
+error (an enumeration over its cap, or an allocation that fails). Every
+command computes all of its output first, so an error leaves none.
 """
 
 import argparse
@@ -45,7 +44,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """--eps-grid entries: floats or base^exp powers such as 2^-4."""
+    """Distinct --eps-grid entries: floats or base^exp powers such as 2^-4."""
     out = []
     for s in text.split(","):
         s = s.strip()
@@ -58,17 +57,23 @@ def _parse_grid(text: str) -> list[float]:
         except (ValueError, OverflowError) as exc:  # 10^400, 0^-1, -8^0.5
             raise ValueError(f"--eps-grid entry {s} is not a finite float "
                              f"or base^exp power: {exc}") from None
+        if out[-1] in out[:-1]:  # 0.25,2^-2 would only repeat rows
+            raise ValueError(f"--eps-grid entry {s} repeats {out[-1]!r}")
     return out
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write a finished table. Callers compute every row first, so an error
-    leaves no partial output."""
+def _write(path, emit) -> None:
+    """Hand stdout (path None or '-') or the file at path to emit. Callers
+    compute all output first, so an error leaves no partial output."""
     if path in (None, "-"):
-        csv.writer(sys.stdout).writerows([header] + rows)
+        emit(sys.stdout)
         return
     with open(path, "w", newline="") as out:
-        csv.writer(out).writerows([header] + rows)
+        emit(out)
+
+
+def _write_csv(path, header, rows) -> None:
+    _write(path, lambda out: csv.writer(out).writerows([header] + rows))
 
 
 def _functional_for(args, problem):
@@ -141,9 +146,7 @@ def cmd_strong_error(args) -> int:
         g = sde.preset("gbm")
         m = args.m_min
         while m <= args.m_max:
-            msd = euler.gbm_strong_error_vs_exact(
-                g.params["mu"], g.params["sigma"], float(g.x0[0]),
-                m, args.reps, seed)
+            msd = euler.gbm_strong_error_vs_exact(g, m, args.reps, seed)
             rows.append(["discretization", "gbm", m, "", repr(msd),
                          args.reps])
             m *= 2
@@ -167,15 +170,13 @@ def cmd_bakhvalov_check(args) -> int:
         checks = [(args.variant, args.n, args.q)]
     else:
         checks = list(_DEFAULT_CHECKS)
-    ok = True
-    for variant, n, q in checks:
-        rep = bakhvalov.exact_pairwise_check(n, q, variant)
-        ok = ok and rep.passed
-        print(rep)
+    reports = [bakhvalov.exact_pairwise_check(n, q, v) for v, n, q in checks]
+    lines = list(map(str, reports))
     if args.triple:
         t = bakhvalov.find_nonuniform_triple(2, 1, "quadratic")
-        print(f"quadratic n=2 q=1 non-uniform triple: {t}")
-    return 0 if ok else 1
+        lines.append(f"quadratic n=2 q=1 non-uniform triple: {t}")
+    _write(args.out, lambda out: out.writelines(f"{s}\n" for s in lines))
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def cmd_oracle(args) -> int:
@@ -198,12 +199,7 @@ def cmd_oracle(args) -> int:
         src = BitSource(seed, 0)
         v = euler.bit_increments(src, args.m, args.q, problem.d,
                                  n=args.mc_reps)
-        fine = f.eval_batch(euler.euler_paths_batch(problem, v))
-        if args.kind == "expectation":
-            vals = fine
-        else:
-            vals = fine - f.eval_batch(euler.euler_paths_batch(
-                problem, euler.coarse_from_fine(v)))
+        vals = mlmc.level_values(problem, f, v, args.kind != "expectation")
         mc_mean = float(np.mean(vals))
         sigma = math.sqrt(var / args.mc_reps) if var > 0 else 0.0
         z = repr((mc_mean - mean) / sigma if sigma > 0 else 0.0)
@@ -247,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--out", default=None, help="CSV path ('-' = stdout)")
+        p.add_argument("--out", default=None, help="output path ('-' = stdout)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; results identical")
 

@@ -16,7 +16,7 @@ from .bitsource import BitSource
 from .ledger import CostLedger
 # normal_quantile is unused here but stays bound: benchmark tracers patch it.
 from .qnormal import normal_quantile, quantize_normal, quantized_normals
-from .sde import SDEProblem, make_gbm
+from .sde import SDEProblem
 
 
 # The scan runs time chunks of T = min(m, _SCAN_STEPS) steps over balanced
@@ -207,27 +207,28 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, q: int, reps: int,
 
 
 # Replications per block of gbm_strong_error_vs_exact: its arrays are
-# (block, 16 m + 1), so memory does not grow with the replication count.
+# (block, _REFINE m + 1), so memory does not grow with the replication count.
 _STRONG_BLOCK = 32
+_REFINE = 16
 
 
-def gbm_strong_error_vs_exact(mu: float, sigma: float, x0: float, m: int,
-                              reps: int, seed: int,
-                              refine: int = 16) -> float:
-    """Mean squared sup-distance between the closed-form GBM path and its
-    m-step Euler scheme, both built from one Brownian path.
+def gbm_strong_error_vs_exact(p: SDEProblem, m: int, reps: int,
+                              seed: int) -> float:
+    """Mean squared sup-distance between the closed-form path of the GBM
+    problem p (mu = A, sigma = B, x0) and its m-step Euler scheme, both
+    built from one Brownian path.
 
-    The "exact" path is the closed-form solution evaluated on a refine-times
-    finer grid from refined increments; the remaining discretization of the
-    sup introduces a bias of order (m*refine)^-1/2, well below the m^-1/2
-    Euler error for the refine used here. Replications are drawn in order
-    in blocks of _STRONG_BLOCK, and their squared sups are summed in block
+    The "exact" path is the closed-form solution evaluated on a
+    _REFINE-times finer grid from refined increments; the remaining
+    discretization of the sup introduces a bias of order (m*_REFINE)^-1/2,
+    well below the m^-1/2 Euler error. Replications are drawn in order in
+    blocks of _STRONG_BLOCK, and their squared sups are summed in block
     order.
     """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, m], dtype=np.uint64)))
-    p = make_gbm(mu, sigma, x0)
-    mf = m * refine
+    mu, sigma, x0 = p.A[0, 0], p.B[0, 0, 0], p.x0[0]
+    mf = m * _REFINE
     t = np.arange(mf + 1) / mf
     # Euler path linearly interpolated onto the fine grid.
     k_idx = np.minimum((t * m).astype(np.int64), m - 1)
@@ -238,10 +239,11 @@ def gbm_strong_error_vs_exact(mu: float, sigma: float, x0: float, m: int,
         dw = rng.standard_normal((n, mf)) / math.sqrt(mf)
         w = np.concatenate([np.zeros((n, 1)), np.cumsum(dw, axis=1)], axis=1)
         exact = x0 * np.exp((mu - 0.5 * sigma * sigma) * t + sigma * w)
-        v = dw.reshape(n, m, refine, 1).sum(axis=2)
+        v = dw.reshape(n, m, _REFINE, 1).sum(axis=2)
         x = euler_paths_batch(p, v)[:, :, 0]
         euler_fine = (1.0 - wgt) * x[:, k_idx] + wgt * x[:, k_idx + 1]
-        total += float(np.sum(np.max(np.abs(exact - euler_fine), axis=1) ** 2))
+        sups = sup_distance_batch(exact[..., None], euler_fine[..., None])
+        total += float(np.sum(sups ** 2))
     return total / reps
 
 

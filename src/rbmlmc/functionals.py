@@ -2,8 +2,8 @@
 
 Each functional carries a batched evaluator over arrays of breakpoint values
 (shape (n, m+1, r)); for piecewise-linear paths the presets are exact, no
-quadrature error. mlmc.run charges each evaluation on an m-step path as
-m+1 to the ledger's information cost.
+quadrature error. mlmc.level_values charges each evaluation on an m-step
+path as m+1 to the ledger's information cost.
 """
 
 from dataclasses import dataclass

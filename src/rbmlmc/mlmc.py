@@ -140,25 +140,41 @@ def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
         return classical_increments(rng, m, d, n=N, ledger=ledger)
     src = BitSource(seed, stream_id=level)
     q = params.q
-    before = src.bits_consumed
     if params.variant == "bit":
-        return bit_increments(src, m, q, d, n=N, ledger=ledger)
-    # Generators are drawn time index first; folding time into the
-    # coordinate axis combines every time index in one call.
-    if params.variant == "bbit":
-        n = params.n[level]
-        g = src.draw_dyadic_numerators(q, (m, 2 * n, d))
-        g = np.moveaxis(g, 0, 1).reshape(2 * n, m * d)
-        nums = quadratic_outputs(g[:n], g[n:], q, N).reshape(N, m, d)
-    elif N == 1:  # bbit_log
-        nums = src.draw_dyadic_numerators(q, (1, m, d))
+        v = bit_increments(src, m, q, d, n=N)
     else:
-        nh = int(params.nhat[level])
-        g = src.draw_dyadic_numerators(q, (m, 2, nh, d))
-        g = np.moveaxis(g, 0, 2).reshape(2, nh, m * d)
-        nums = logarithmic_outputs(g, q, N).reshape(N, m, d)
-    ledger.bit_count += src.bits_consumed - before
-    return quantized_normals(nums, q) / math.sqrt(m)
+        # Generators are drawn time index first; folding time into the
+        # coordinate axis combines every time index in one call.
+        if params.variant == "bbit":
+            n = params.n[level]
+            g = src.draw_dyadic_numerators(q, (m, 2 * n, d))
+            g = np.moveaxis(g, 0, 1).reshape(2 * n, m * d)
+            nums = quadratic_outputs(g[:n], g[n:], q, N).reshape(N, m, d)
+        elif N == 1:  # bbit_log
+            nums = src.draw_dyadic_numerators(q, (1, m, d))
+        else:
+            nh = int(params.nhat[level])
+            g = src.draw_dyadic_numerators(q, (m, 2, nh, d))
+            g = np.moveaxis(g, 0, 2).reshape(2, nh, m * d)
+            nums = logarithmic_outputs(g, q, N).reshape(N, m, d)
+        v = quantized_normals(nums, q) / math.sqrt(m)
+    ledger.bit_count += src.bits_consumed
+    return v
+
+
+def level_values(p: SDEProblem, f: Functional, v: np.ndarray, coupled: bool,
+                 ledger: CostLedger | None = None) -> np.ndarray:
+    """The one coupled-level kernel, (n,): f at the fine paths of v (n, m, d),
+    minus f at the coarse paths of coarse_from_fine(v) if coupled. Charges
+    information cost m+1 per fine path and m/2+1 per coarse one."""
+    n, m, _ = v.shape
+    vals = f.eval_batch(euler_paths_batch(p, v, ledger=ledger))
+    if coupled:
+        coarse = euler_paths_batch(p, coarse_from_fine(v), ledger=ledger)
+        vals = vals - f.eval_batch(coarse)
+    if ledger is not None:
+        ledger.info_cost += n * (m + 1 + (m // 2 + 1 if coupled else 0))
+    return vals
 
 
 def run(p: SDEProblem, f: Functional, params: MLMCParams,
@@ -180,13 +196,7 @@ def run(p: SDEProblem, f: Functional, params: MLMCParams,
         m = 1 << level
         N = params.N[level]
         v = _level_increments(p, params, level, seed, ledger)
-        fine = euler_paths_batch(p, v, ledger=ledger)
-        vals = f.eval_batch(fine)
-        ledger.info_cost += N * (m + 1)
-        if level > 0:
-            coarse = euler_paths_batch(p, coarse_from_fine(v), ledger=ledger)
-            vals = vals - f.eval_batch(coarse)
-            ledger.info_cost += N * (m // 2 + 1)
+        vals = level_values(p, f, v, level > 0, ledger)
         mean = float(np.mean(vals))
         var = float(np.var(vals, ddof=1)) if N > 1 else 0.0
         levels.append(LevelStats(level=level, m=m, count=N, mean=mean,

@@ -15,8 +15,8 @@ import numpy as np
 
 from .bitsource import enumerate_numerators
 from .errors import FeasibilityError
-from .euler import coarse_from_fine, euler_paths_batch
 from .functionals import Functional
+from .mlmc import level_values
 from .qnormal import grid_atoms, quantized_normals
 from .sde import SDEProblem
 
@@ -30,8 +30,7 @@ def enumerate_bit_increments(m: int, q: int, d: int) -> np.ndarray:
 def exact_expectation_bit_euler(p: SDEProblem, f: Functional, m: int,
                                 q: int) -> tuple[float, float]:
     """Exact (mean, variance) of f at the m-step depth-q bit-Euler path."""
-    v = enumerate_bit_increments(m, q, p.d)
-    vals = f.eval_batch(euler_paths_batch(p, v))
+    vals = level_values(p, f, enumerate_bit_increments(m, q, p.d), False)
     return float(np.mean(vals)), float(np.var(vals))
 
 
@@ -40,10 +39,7 @@ def exact_level_difference(p: SDEProblem, f: Functional, m: int,
     """Exact (mean, variance) of f(fine) - f(coarse) under the coupling."""
     if m % 2 != 0:
         raise ValueError("m must be even for a coupled pair")
-    v = enumerate_bit_increments(m, q, p.d)
-    fine = f.eval_batch(euler_paths_batch(p, v))
-    coarse = f.eval_batch(euler_paths_batch(p, coarse_from_fine(v)))
-    diff = fine - coarse
+    diff = level_values(p, f, enumerate_bit_increments(m, q, p.d), True)
     return float(np.mean(diff)), float(np.var(diff))
 
 

@@ -7,7 +7,7 @@ to (..., r), diffusion maps (..., r) to (..., r, d). Presets are linear so
 terminal-value moments have closed forms usable as exact test targets.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +22,22 @@ class SDEProblem:
     a0: np.ndarray   # (r,) drift offset
     B: np.ndarray    # (r, d, r) diffusion slopes
     b0: np.ndarray   # (r, d) diffusion offset
-    gamma: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.r < 1 or self.d < 1:
             raise ValueError("state and driving dimensions must be >= 1")
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError("gamma must be finite and >= 0")
         r, d = self.r, self.d
         for name, shape in (("x0", (r,)), ("A", (r, r)), ("a0", (r,)),
                             ("B", (r, d, r)), ("b0", (r, d))):
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} must have shape {shape}")
+
+    @property
+    def gamma(self) -> float:
+        """Lipschitz constant of drift and diffusion (Frobenius norm): the
+        larger spectral norm of A and of B as an (r d, r) matrix."""
+        return float(max(np.linalg.norm(self.A, 2),
+                         np.linalg.norm(self.B.reshape(-1, self.r), 2)))
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """A x + a0 for states x of shape (..., r)."""
@@ -46,26 +49,22 @@ class SDEProblem:
         return slopes.reshape(x.shape[:-1] + (self.r, self.d)) + self.b0
 
 
-def _affine(label, x0, A, B, b0, gamma, params=None) -> SDEProblem:
+def _affine(label, x0, A, B, b0) -> SDEProblem:
     A = np.array(A, dtype=float)
     return SDEProblem(label=label, r=A.shape[0], d=np.shape(b0)[1],
                       x0=np.array(x0, dtype=float), A=A,
                       a0=np.zeros(A.shape[0]), B=np.array(B, dtype=float),
-                      b0=np.array(b0, dtype=float), gamma=gamma,
-                      params=params or {})
+                      b0=np.array(b0, dtype=float))
 
 
 def make_gbm(mu: float = 0.05, sigma: float = 0.2, x0: float = 1.0) -> SDEProblem:
     """Geometric Brownian motion dX = mu X dt + sigma X dW."""
-    return _affine("gbm", [x0], [[mu]], [[[sigma]]], [[0.0]],
-                   gamma=max(abs(mu), abs(sigma)),
-                   params={"mu": mu, "sigma": sigma})
+    return _affine("gbm", [x0], [[mu]], [[[sigma]]], [[0.0]])
 
 
 def make_additive_noise() -> SDEProblem:
     """Ornstein-Uhlenbeck dX = -X dt + dW, x0 = 1."""
-    return _affine("additive_noise", [1.0], [[-1.0]], [[[0.0]]], [[1.0]],
-                   gamma=1.0)
+    return _affine("additive_noise", [1.0], [[-1.0]], [[[0.0]]], [[1.0]])
 
 
 _LIN2D_A = np.array([[-0.5, 0.1], [0.0, -0.3]])
@@ -75,19 +74,15 @@ _LIN2D_C = np.array([[0.3, 0.05], [0.0, 0.25]])
 def make_linear2d() -> SDEProblem:
     """2d linear system with constant-plus-diagonal-linear diffusion."""
     # B[i, i, i] = 0.1: the diagonal of the diffusion grows with its own
-    # coordinate. Drift Lipschitz constant is the spectral norm of the
-    # matrix (~0.52); the diffusion difference is 0.1*diag(x-y), Frobenius
-    # norm 0.1|x-y|.
+    # coordinate; gamma is the drift matrix's spectral norm (~0.51).
     B = np.zeros((2, 2, 2))
     B[0, 0, 0] = B[1, 1, 1] = 0.1
-    gamma = float(np.linalg.norm(_LIN2D_A, 2))
-    return _affine("linear2d", [1.0, 1.0], _LIN2D_A, B, _LIN2D_C, gamma)
+    return _affine("linear2d", [1.0, 1.0], _LIN2D_A, B, _LIN2D_C)
 
 
 def make_zero_noise(x0: float = 1.0) -> SDEProblem:
     """Deterministic debug problem: zero drift and diffusion."""
-    return _affine("zero_noise", [x0], [[0.0]], [[[0.0]]], [[0.0]],
-                   gamma=0.0)
+    return _affine("zero_noise", [x0], [[0.0]], [[[0.0]]], [[0.0]])
 
 
 _PRESETS = {

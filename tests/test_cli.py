@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import os
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rbmlmc
-from rbmlmc import functionals, sde
+from rbmlmc import bakhvalov, functionals, sde
 from rbmlmc.cli import main
 
 
@@ -150,6 +151,17 @@ GRID_ENTRY = [
      "-8^0.5"),
 ]
 BAD_CONFIGS += [args for args, _ in GRID_ENTRY]
+# a repeated ε only repeated rows, with the entry the message must name and
+# the value it repeats
+GRID_REPEAT = [
+    (["run", "--variant", "bit", "--eps-grid", "0.25,2^-2", "--seeds", "0"],
+     "2^-2", "0.25"),
+    (["run", "--variant", "classical", "--eps-grid", "0.1,0.2,0.10",
+      "--seeds", "0"], "0.10", "0.1"),
+    (["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6,0.0625"],
+     "0.0625", "0.0625"),
+]
+BAD_CONFIGS += [args for args, _, _ in GRID_REPEAT]
 # both ε flags: --eps used to be dropped without a word
 EPS_AND_GRID = ["run", "--variant", "classical", "--eps-grid", "0.25",
                 "--eps", "0.1"]
@@ -184,6 +196,17 @@ def test_grid_entry_message_names_flag_and_entry(args, entry, capsys):
     code, _, err = run_cli(args + ["--out", "-"], capsys)
     assert code == 2
     assert err.startswith(f"configuration error: --eps-grid entry {entry} ")
+
+
+@pytest.mark.parametrize("args,entry,value", GRID_REPEAT,
+                         ids=lambda a: " ".join(a) if isinstance(a, list)
+                         else a)
+def test_grid_repeat_message_names_flag_and_entry(args, entry, value,
+                                                  capsys):
+    code, _, err = run_cli(args + ["--out", "-"], capsys)
+    assert code == 2
+    assert err == (f"configuration error: --eps-grid entry {entry} repeats "
+                   f"{value}\n")
 
 
 def test_eps_and_eps_grid_message_names_both(capsys):
@@ -278,6 +301,39 @@ def test_bakhvalov_check_triple_reports_none(capsys):
     code, out, _ = run_cli(["bakhvalov-check", "--triple"], capsys)
     assert code == 0
     assert "non-uniform triple: None" in out
+
+
+def test_bakhvalov_check_writes_out_file(capsys, tmp_path):
+    # --out used to be ignored: the report went to stdout, FILE never made
+    for flags in ([], ["--triple"], ["--variant", "logarithmic", "--n", "3",
+                                     "--q", "2"]):
+        code, want, _ = run_cli(["bakhvalov-check", "--out", "-"] + flags,
+                                capsys)
+        assert code == 0 and want.count("\n") >= 1
+        assert run_cli(["bakhvalov-check"] + flags, capsys)[1] == want
+        target = tmp_path / "check.txt"
+        code, out, _ = run_cli(["bakhvalov-check", "--out", str(target)]
+                               + flags, capsys)
+        assert code == 0 and out == ""
+        assert target.read_text() == want
+
+
+def test_bakhvalov_check_failure_exit_1_after_writing(capsys, tmp_path,
+                                                      monkeypatch):
+    # a failed check still writes every line, the FAIL among them
+    real = bakhvalov.exact_pairwise_check
+
+    def failing(n, q, variant):
+        rep = real(n, q, variant)
+        return dataclasses.replace(rep, passed=n != 3)
+    monkeypatch.setattr(bakhvalov, "exact_pairwise_check", failing)
+    target = tmp_path / "check.txt"
+    code, out, _ = run_cli(["bakhvalov-check", "--triple", "--out",
+                            str(target)], capsys)
+    assert code == 1 and out == ""
+    lines = target.read_text().splitlines()
+    assert len(lines) == 6 and "FAIL" in lines[2]
+    assert lines[-1] == "quadratic n=2 q=1 non-uniform triple: None"
 
 
 def test_bakhvalov_check_feasibility_exit_3(capsys):

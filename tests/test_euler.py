@@ -338,7 +338,8 @@ def test_strong_error_memory_bounded_in_reps():
     # (reps, 16 m + 1) array would be 262 MB.
     tracemalloc.start()
     try:
-        msd = gbm_strong_error_vs_exact(0.05, 0.2, 1.0, 1024, 2000, 0)
+        msd = gbm_strong_error_vs_exact(make_gbm(0.05, 0.2, 1.0), 1024,
+                                        2000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -412,7 +413,7 @@ def _equal_up_to_zero_sign(got, ref):
 
 def _problem_from(label, A, a0, B, b0, x0):
     return SDEProblem(label=label, r=len(x0), d=b0.shape[1], x0=x0, A=A,
-                      a0=a0, B=B, b0=b0, gamma=1.0)
+                      a0=a0, B=B, b0=b0)
 
 
 def _sparse(shape):

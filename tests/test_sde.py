@@ -23,7 +23,7 @@ def test_gbm_coefficients():
     assert g.diffusion(x)[0, 0] == pytest.approx(0.4)
     assert g.gamma == 0.2
     # closed-form terminal mean used as an exact target elsewhere
-    assert float(g.x0[0]) * math.exp(g.params["mu"]) == pytest.approx(
+    assert float(g.x0[0]) * math.exp(g.A[0, 0]) == pytest.approx(
         1.0512710963760241)
 
 
