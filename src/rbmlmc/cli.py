@@ -92,7 +92,8 @@ def cmd_run(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ValueError("provide at least one seed in --seeds")
-    schedules = [(eps, mlmc.params_for_eps(eps, args.variant))
+    variant = args.variant.replace("-", "_")
+    schedules = [(eps, mlmc.params_for_eps(eps, variant))
                  for eps in sorted(eps_values, reverse=True)]
     rows = []
     for eps, params in schedules:
@@ -101,7 +102,7 @@ def cmd_run(args) -> int:
             rep = mlmc.run(problem, f, params, seed)
             ms = (time.perf_counter() - t0) * 1e3
             rows.append([
-                args.variant, repr(eps), seed, repr(rep.estimate),
+                variant, repr(eps), seed, repr(rep.estimate),
                 params.L, params.q if params.q is not None else "",
                 ";".join(repr(s.mean) for s in rep.levels),
                 ";".join(repr(s.variance) for s in rep.levels),
@@ -167,9 +168,9 @@ def cmd_bakhvalov_check(args) -> int:
         # n < 1 has no generators and q < 1 a one-atom grid: a vacuous PASS
         if min(args.n, args.q) < 1:
             raise ValueError(f"need --n, --q >= 1, got {args.n}, {args.q}")
-        checks = [(args.variant, args.n, args.q)]
+        checks = [(args.variant or "quadratic", args.n, args.q)]
     else:
-        checks = list(_DEFAULT_CHECKS)
+        checks = [c for c in _DEFAULT_CHECKS if args.variant in (None, c[0])]
     reports = [bakhvalov.exact_pairwise_check(n, q, v) for v, n, q in checks]
     lines = list(map(str, reports))
     if args.triple:
@@ -224,8 +225,8 @@ def cmd_cost_report(args) -> int:
         pq = mlmc.params_for_eps(row.epsilon, "bbit")
         rows.append([repr(row.epsilon), pb.L, pb.q, row.bits_bit,
                      row.bits_bbit, row.bits_bbit_log,
-                     mlmc.info_cost_formula(pc), mlmc.work_model(pc, args.d),
-                     mlmc.work_model(pb, args.d), mlmc.work_model(pq, args.d),
+                     mlmc.info_cost_formula(pc), mlmc.work_model(pc),
+                     mlmc.work_model(pb), mlmc.work_model(pq),
                      repr(row.ratio_bbit), repr(row.ratio_bbit_log)])
     rows.append(["band_bbit", repr(table.band_bbit)] + [""] * 10)
     rows.append(["band_bbit_log", repr(table.band_bbit_log)] + [""] * 10)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a multilevel estimator")
     p.add_argument("--variant", required=True,
-                   choices=["classical", "bit", "bbit", "bbit-log"])
+                   choices=[v.replace("_", "-") for v in mlmc.VARIANTS])
     p.add_argument("--sde", default="gbm", choices=sde.preset_names())
     p.add_argument("--functional", default="terminal",
                    choices=functionals.preset_functional_names())
@@ -280,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bakhvalov-check",
                        help="exact pairwise-independence tables")
-    p.add_argument("--variant", default="quadratic",
-                   choices=["quadratic", "logarithmic"])
+    p.add_argument("--variant", choices=["quadratic", "logarithmic"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--triple", action="store_true",
@@ -317,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if hasattr(args, "variant") and args.command == "run":
-        args.variant = args.variant.replace("-", "_")
     try:
         return args.func(args)
     except FeasibilityError as exc:

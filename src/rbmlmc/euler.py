@@ -152,15 +152,12 @@ def classical_increments(rng: np.random.Generator, m: int, d: int, n: int,
     return rng.standard_normal((n, m, d)) / math.sqrt(m)
 
 
-def bit_increments(src: BitSource, m: int, q: int, d: int, n: int,
-                   ledger: CostLedger | None = None) -> np.ndarray:
+def bit_increments(src: BitSource, m: int, q: int, d: int,
+                   n: int) -> np.ndarray:
     """Quantized-normal increments m^{-1/2} Y^(q); exactly n*m*d*q bits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    before = src.bits_consumed
     nums = src.draw_dyadic_numerators(q, (n, m, d))
-    if ledger is not None:
-        ledger.bit_count += src.bits_consumed - before
     return quantized_normals(nums, q) / math.sqrt(m)
 
 
@@ -225,6 +222,9 @@ def gbm_strong_error_vs_exact(p: SDEProblem, m: int, reps: int,
     blocks of _STRONG_BLOCK, and their squared sups are summed in block
     order.
     """
+    if p.r != 1 or p.d != 1 or p.a0.any() or p.b0.any():
+        raise ValueError(f"{p.label} has no gbm closed form: need r = d = 1 "
+                         f"and a0 = b0 = 0")
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, m], dtype=np.uint64)))
     mu, sigma, x0 = p.A[0, 0], p.B[0, 0, 0], p.x0[0]

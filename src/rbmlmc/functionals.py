@@ -37,12 +37,14 @@ def _time_average(values: np.ndarray) -> np.ndarray:
     return (0.5 * (v[:, 0] + v[:, -1]) + v[:, 1:-1].sum(axis=1)) / m
 
 
-def make_distance_to_ref(ref: np.ndarray) -> Functional:
+def make_distance_to_ref(ref: np.ndarray | None) -> Functional:
     """sup_t |x(t) - ref| for a constant reference point ref in R^r: the one
     sup-distance kernel, euler.sup_distance_batch, in its point form.
 
     1-Lipschitz by the triangle inequality for the sup distance.
     """
+    if ref is None:
+        raise ValueError("distance_to_ref requires a reference point x0")
     ref = np.asarray(ref, dtype=float)
     return Functional(label="distance_to_ref", lipschitz_bound=1.0,
                       eval_batch=lambda v: sup_distance_batch(v, ref))
@@ -58,23 +60,20 @@ def make_constant(c: float) -> Functional:
 
 
 _PRESETS = {
-    "terminal": lambda: Functional("terminal", 1.0, _terminal),
-    "running_max": lambda: Functional("running_max", 1.0, _running_max),
-    "time_average": lambda: Functional("time_average", 1.0, _time_average),
+    "terminal": lambda x0: Functional("terminal", 1.0, _terminal),
+    "running_max": lambda x0: Functional("running_max", 1.0, _running_max),
+    "time_average": lambda x0: Functional("time_average", 1.0, _time_average),
+    "distance_to_ref": make_distance_to_ref,
 }
 
 
 def preset_functional(name: str, x0: np.ndarray | None = None) -> Functional:
     """Named Lip-1 functional; distance_to_ref needs the problem's x0."""
-    if name in _PRESETS:
-        return _PRESETS[name]()
-    if name == "distance_to_ref":
-        if x0 is None:
-            raise ValueError("distance_to_ref requires a reference point x0")
-        return make_distance_to_ref(x0)
-    raise ValueError(f"unknown functional preset {name!r}; choose from "
-                     f"{sorted([*_PRESETS, 'distance_to_ref'])}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown functional preset {name!r}; choose from "
+                         f"{preset_functional_names()}")
+    return _PRESETS[name](x0)
 
 
 def preset_functional_names() -> list[str]:
-    return sorted([*_PRESETS, "distance_to_ref"])
+    return sorted(_PRESETS)

@@ -42,13 +42,11 @@ VARIANTS = ("classical", "bit", "bbit", "bbit_log")
 
 @dataclass(frozen=True)
 class MLMCParams:
+    """A schedule: variant, finest level L, replications N_l, depth q."""
     variant: str
     L: int
     N: tuple
     q: int | None = None
-    n: tuple | None = None       # generator counts per level (bbit)
-    nhat: tuple | None = None    # log-variant counts; 0.5 encodes N_l == 1
-    epsilon: float | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -59,30 +57,23 @@ class MLMCParams:
             raise ValueError("replication counts must be >= 1")
         if self.variant != "classical" and (self.q is None or self.q < 1):
             raise ValueError("bit-based variants require q >= 1")
-        if self.variant == "bbit":
-            if self.n is None or any(nl * nl < Nl
-                                     for nl, Nl in zip(self.n, self.N)):
-                raise ValueError("bbit requires n_l with n_l^2 >= N_l")
-        if self.variant == "bbit_log":
-            if self.nhat is None:
-                raise ValueError("bbit_log requires nhat per level")
-            for nh, Nl in zip(self.nhat, self.N):
-                if Nl >= 2 and (1 << int(nh)) < Nl:
-                    raise ValueError(
-                        f"family capacity 2^{int(nh)} < N_l = {Nl}")
 
+    @property
+    def n(self) -> tuple:
+        """bbit draws 2 n_l generators, n_l the least with n_l^2 >= N_l."""
+        return tuple(math.isqrt(Nl - 1) + 1 for Nl in self.N)
 
-def _ceil_sqrt(n: int) -> int:
-    s = math.isqrt(n)
-    return s if s * s == n else s + 1
+    @property
+    def nhat(self) -> tuple:
+        """bbit_log draws 2 nhat_l generators, nhat_l the least with
+        2^nhat_l >= N_l, as a float; 0.5 encodes N_l == 1, one generator."""
+        return tuple(float((Nl - 1).bit_length()) or 0.5 for Nl in self.N)
 
 
 def params_for_eps(epsilon: float, variant: str) -> MLMCParams:
-    """Schedules L, N_l, q, n_l / nhat_l for a target accuracy in (0, 1/2)."""
+    """Schedules L, N_l, q for a target accuracy in (0, 1/2)."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     x = 1 / (Fraction(epsilon) ** 2)  # eps^-2, exact
     if x > np.finfo(float).max:
         raise ValueError(f"epsilon^-2 exceeds the float range, got epsilon "
@@ -96,25 +87,11 @@ def params_for_eps(epsilon: float, variant: str) -> MLMCParams:
     N = tuple(
         -(-((L + 1) * max(l, 1) * x.numerator) // (x.denominator << l))
         for l in range(L + 1))
-    if variant == "classical":
-        return MLMCParams(variant=variant, L=L, N=N, epsilon=epsilon)
-    q = L
-    if variant == "bit":
-        return MLMCParams(variant=variant, L=L, N=N, q=q, epsilon=epsilon)
-    if variant == "bbit":
-        n = tuple(_ceil_sqrt(Nl) for Nl in N)
-        return MLMCParams(variant=variant, L=L, N=N, q=q, n=n,
-                          epsilon=epsilon)
-    nhat = tuple(0.5 if Nl == 1 else float((Nl - 1).bit_length()) for Nl in N)
-    return MLMCParams(variant=variant, L=L, N=N, q=q, nhat=nhat,
-                      epsilon=epsilon)
+    return MLMCParams(variant, L, N, q=None if variant == "classical" else L)
 
 
 @dataclass(frozen=True)
 class LevelStats:
-    level: int
-    m: int
-    count: int
     mean: float
     variance: float
 
@@ -125,7 +102,6 @@ class MLMCReport:
     levels: tuple
     ledger: CostLedger
     params: MLMCParams
-    seed: int
 
 
 def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
@@ -192,18 +168,15 @@ def run(p: SDEProblem, f: Functional, params: MLMCParams,
     ledger = CostLedger()
     levels = []
     estimate = 0.0
-    for level in range(params.L + 1):
-        m = 1 << level
-        N = params.N[level]
+    for level, N in enumerate(params.N):
         v = _level_increments(p, params, level, seed, ledger)
         vals = level_values(p, f, v, level > 0, ledger)
         mean = float(np.mean(vals))
         var = float(np.var(vals, ddof=1)) if N > 1 else 0.0
-        levels.append(LevelStats(level=level, m=m, count=N, mean=mean,
-                                 variance=var))
+        levels.append(LevelStats(mean=mean, variance=var))
         estimate += mean
     return MLMCReport(estimate=estimate, levels=tuple(levels), ledger=ledger,
-                      params=params, seed=seed)
+                      params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +214,7 @@ def info_cost_formula(params: MLMCParams) -> int:
     return total
 
 
-def work_model(params: MLMCParams, d: int = 1) -> int:
+def work_model(params: MLMCParams) -> int:
     """Order-of-cost surrogate from the analysis, by variant."""
     base = sum(N * (1 << l) for l, N in enumerate(params.N))
     if params.variant == "classical":
@@ -282,8 +255,6 @@ def bitcount_bound_check(eps_grid, d: int = 1) -> BitcountTable:
         raise ValueError("need a grid of at least 5 epsilon values")
     rows = []
     for eps in eps_grid:
-        if not 0.0 < eps < 0.5:
-            raise ValueError(f"epsilon must lie in (0, 1/2), got {eps}")
         bits = {v: bit_count_formula(params_for_eps(eps, v), d)
                 for v in ("bit", "bbit", "bbit_log")}
         le = math.log2(1.0 / eps)

@@ -20,7 +20,6 @@ from rbmlmc.cli import main as cli_main
 from rbmlmc.euler import (bit_increments, bit_vs_classical_sup_sq,
                           coarse_from_fine, euler_paths_batch)
 from rbmlmc.functionals import make_constant, preset_functional
-from rbmlmc.ledger import CostLedger
 from rbmlmc.mlmc import (bit_count_formula, coin_count_formula,
                          info_cost_formula, params_for_eps, run, work_model)
 from rbmlmc.oracle import (exact_expectation_bit_euler,
@@ -72,7 +71,7 @@ def test_criterion_1_oracle_equivalence():
         else:
             mean, var = exact_level_difference(p, f, m, q)
         src = BitSource(99, stream_id=idx)
-        v = bit_increments(src, m, q, p.d, n=reps, ledger=CostLedger())
+        v = bit_increments(src, m, q, p.d, n=reps)
         vals = f.eval_batch(euler_paths_batch(p, v))
         if kind == "level-difference":
             vals = vals - f.eval_batch(

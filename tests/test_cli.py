@@ -264,6 +264,20 @@ def test_run_csv_matches_baseline_hashes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix, args
 
 
+def test_cost_report_matches_baseline_hashes(capsys):
+    # sha256 prefixes of cost-report as computed before schedules derived
+    # their generator counts from N: any change to a count shows here
+    grid = ",".join(f"2^-{k}" for k in range(2, 11))
+    for args, prefix in (
+            (["--eps-grid", grid, "--d", "1"], "24f302d95b6aae09"),
+            (["--eps-grid", grid, "--d", "2"], "6d82329f61eeab98"),
+            (["--eps-grid", "0.3,0.2,0.1,0.05,0.01"], "33bd1bc58237080d")):
+        code, out, _ = run_cli(["cost-report"] + args + ["--out", "-"],
+                               capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix, args
+
+
 def test_strong_error_quantization(capsys):
     code, out, _ = run_cli(["strong-error", "--mode", "quantization",
                             "--m", "16", "--q-min", "2", "--q-max", "4",
@@ -295,6 +309,22 @@ def test_bakhvalov_check_default_and_single(capsys):
     code, out, _ = run_cli(["bakhvalov-check", "--variant", "logarithmic",
                             "--n", "3", "--q", "2"], capsys)
     assert code == 0 and "PASS" in out
+
+
+@pytest.mark.parametrize("flags,families", [
+    ([], ["quadratic"] * 3 + ["logarithmic"] * 2),
+    (["--variant", "quadratic"], ["quadratic"] * 3),
+    (["--variant", "logarithmic"], ["logarithmic"] * 2),
+    (["--variant", "logarithmic", "--triple"], ["logarithmic"] * 2
+     + ["quadratic"]),
+    (["--n", "2", "--q", "2"], ["quadratic"])],
+    ids=["default", "quadratic", "logarithmic", "triple", "n-q"])
+def test_bakhvalov_check_variant_selects_checks(flags, families, capsys):
+    # without --n/--q, --variant keeps its family's default checks; with
+    # them and no --variant, the one check is quadratic
+    code, out, _ = run_cli(["bakhvalov-check"] + flags, capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == families
 
 
 def test_bakhvalov_check_triple_reports_none(capsys):

@@ -55,9 +55,8 @@ def test_classical_increment_statistics():
 
 def test_bit_increments_atoms_and_count():
     src = BitSource(0, 1)
-    ledger = CostLedger()
-    v = bit_increments(src, 4, 1, 1, n=1, ledger=ledger)
-    assert ledger.bit_count == 4
+    v = bit_increments(src, 4, 1, 1, n=1)
+    assert src.bits_consumed == 4
     assert np.all(np.isin(np.round(np.abs(v) * 2, 9),
                           np.round(Q3, 9)))
     src = BitSource(0, 2)
@@ -82,10 +81,9 @@ def test_coupled_bit_pair_coarse_consistency_and_bits():
     g = preset("gbm")
     src = BitSource(3, 0)
     ledger = CostLedger()
-    v = bit_increments(src, 8, 3, 1, n=1, ledger=ledger)
+    v = bit_increments(src, 8, 3, 1, n=1)
     fine = euler_paths_batch(g, v, ledger=ledger)
     coarse = euler_paths_batch(g, coarse_from_fine(v), ledger=ledger)
-    assert ledger.bit_count == 24
     assert src.bits_consumed == 24
     assert ledger.coeff_evals == 2 * 8 + 2 * 4
     # recompute the coarse path from the summed increments: bitwise identical
@@ -345,6 +343,15 @@ def test_strong_error_memory_bounded_in_reps():
         tracemalloc.stop()
     assert 0 < msd < 1e-3
     assert peak < 64 * 2 ** 20
+
+
+def test_strong_error_vs_exact_needs_a_gbm_problem():
+    # the closed form reads mu, sigma, x0 of a scalar GBM: an OU problem used
+    # to return a number (0.9158) and linear2d to fail inside the Euler scan
+    for name in ("additive_noise", "linear2d"):
+        with pytest.raises(ValueError, match=name):
+            gbm_strong_error_vs_exact(preset(name), 16, 50, 0)
+    assert gbm_strong_error_vs_exact(make_zero_noise(), 16, 50, 0) == 0.0
 
 
 # Frozen copy of the dense affine scan, as it was before the scan skipped the

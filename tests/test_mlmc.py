@@ -28,6 +28,9 @@ def test_schedule_generator_counts():
     assert p.n[3] == 7
     pl = params_for_eps(EPS, "bbit_log")
     assert pl.nhat == (7.0, 6.0, 6.0, 6.0, 5.0, 5.0, 4.0)
+    # derived from N alone, whatever the variant; N_l = 1 is one generator
+    hand = MLMCParams(variant="bit", L=2, N=(5, 1, 3), q=5)
+    assert hand.n == (3, 1, 2) and hand.nhat == (3.0, 0.5, 2.0)
 
 
 def test_schedule_monotone_in_eps():
@@ -49,10 +52,6 @@ def test_schedule_rejects_bad_eps():
 def test_params_validation():
     with pytest.raises(ValueError):
         MLMCParams(variant="bit", L=1, N=(4, 2))  # missing q
-    with pytest.raises(ValueError):
-        MLMCParams(variant="bbit", L=0, N=(5,), q=2, n=(2,))  # 2^2 < 5
-    with pytest.raises(ValueError):
-        MLMCParams(variant="bbit_log", L=0, N=(5,), q=2, nhat=(2.0,))
     with pytest.raises(ValueError):
         MLMCParams(variant="classical", L=1, N=(4,))
 
@@ -86,7 +85,7 @@ def test_work_model_ordering():
 
 
 def test_run_deterministic_and_seed_sensitive():
-    params = MLMCParams(variant="bbit", L=2, N=(9, 4, 4), q=4, n=(3, 2, 2))
+    params = MLMCParams(variant="bbit", L=2, N=(9, 4, 4), q=4)
     f = preset_functional("terminal")
     p = make_gbm()
     a = run(p, f, params, seed=1)
@@ -172,9 +171,9 @@ def _per_step_increments(p, params, level, seed):
 
 @pytest.mark.parametrize("params", [
     params_for_eps(0.125, "bbit"), params_for_eps(0.125, "bbit_log"),
-    MLMCParams(variant="bbit", L=2, N=(5, 1, 3), q=5, n=(3, 1, 2)),
-    MLMCParams(variant="bbit_log", L=2, N=(5, 1, 3), q=5,
-               nhat=(3.0, 0.5, 2.0))], ids=lambda p: p.variant)
+    MLMCParams(variant="bbit", L=2, N=(5, 1, 3), q=5),
+    MLMCParams(variant="bbit_log", L=2, N=(5, 1, 3), q=5)],
+    ids=lambda p: p.variant)
 def test_one_combine_per_level_matches_per_step_combines(params):
     # time is folded into the coordinate axis (d = 2 here), so one combiner
     # call per level must give the per-time-index outputs bit for bit

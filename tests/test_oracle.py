@@ -7,7 +7,6 @@ from rbmlmc.errors import FeasibilityError
 from rbmlmc.euler import bit_increments
 from rbmlmc.bitsource import BitSource
 from rbmlmc.functionals import make_constant, preset_functional
-from rbmlmc.ledger import CostLedger
 from rbmlmc.oracle import (coarse_distribution_mismatch,
                            enumerate_bit_increments,
                            exact_expectation_bit_euler,
@@ -82,7 +81,7 @@ def test_oracle_matches_monte_carlo():
     src = BitSource(99, 0)
     reps = 200_000
     from rbmlmc.euler import euler_paths_batch
-    v = bit_increments(src, 4, 2, 1, n=reps, ledger=CostLedger())
+    v = bit_increments(src, 4, 2, 1, n=reps)
     vals = f.eval_batch(euler_paths_batch(p, v))
     z = (vals.mean() - mean) / math.sqrt(var / reps)
     assert abs(z) < 4.0

@@ -18,6 +18,13 @@ COMMANDS = [["run", "--variant", v, "--eps", "0.125", "--seeds", "0"]
             for v in ("classical", "bit", "bbit", "bbit-log")]
 COMMANDS.append(["strong-error", "--mode", "quantization", "--m", "16",
                  "--q-min", "2", "--q-max", "3", "--reps", "200"])
+# d = r = 2 through both pairwise families, and the gbm closed-form sweep
+COMMANDS += [["run", "--variant", "bbit-log", "--sde", "linear2d",
+              "--functional", "distance_to_ref", "--eps", "0.125"],
+             ["run", "--variant", "bbit", "--sde", "linear2d", "--eps",
+              "0.125"],
+             ["strong-error", "--mode", "discretization", "--m-min", "16",
+              "--m-max", "64", "--reps", "50"]]
 
 
 def _load_tracer():
@@ -35,7 +42,8 @@ def _csv(call, argv):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: " ".join(a[:3]))
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: " ".join(
+    a[:5] if a[3:4] == ["--sde"] else a[:3]))
 def test_tracer_patch_points(argv):
     plain = _csv(cli.main, argv)
     tracer = _load_tracer().Tracer()
