@@ -8,15 +8,12 @@ multilevel estimators with classical, bit, and pairwise-independent
 from .bitsource import BitSource
 from .errors import FeasibilityError
 from .ledger import CostLedger
-from .qnormal import (exact_grid_moments, normal_cdf, normal_quantile,
-                      quantize_normal)
+from .qnormal import normal_quantile, quantize_normal
 from .sde import SDEProblem, preset
 from .euler import bit_increments, classical_increments
 from .functionals import Functional, preset_functional
 from .bakhvalov import exact_pairwise_check, find_nonuniform_triple
-from .mlmc import (MLMCParams, MLMCReport, bitcount_bound_check,
-                   params_for_eps, run)
-from .oracle import (coarse_distribution_mismatch, exact_expectation_bit_euler,
-                     exact_level_difference)
+from .mlmc import MLMCParams, MLMCReport, params_for_eps, run
+from .oracle import exact_expectation_bit_euler, exact_level_difference
 
 __version__ = "0.1.0"

@@ -77,8 +77,12 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _functional_for(args, problem):
-    if args.debug_const_functional is not None:
-        return functionals.make_constant(args.debug_const_functional)
+    c = args.debug_const_functional
+    if c is not None:
+        if not math.isfinite(c):  # nan/inf give a nan estimate, not a probe
+            raise ValueError(f"--debug-const-functional must be finite, "
+                             f"got {c}")
+        return functionals.make_constant(c)
     return functionals.preset_functional(args.functional, x0=problem.x0)
 
 
@@ -217,19 +221,23 @@ def cmd_cost_report(args) -> int:
     if args.d < 1:  # d = 0 counts no bits (a 0/0 band), d < 0 negative bits
         raise ValueError(f"--d must be >= 1, got {args.d}")
     eps_values = _parse_grid(args.eps_grid)
-    table = mlmc.bitcount_bound_check(eps_values, d=args.d)
-    rows = []
-    for row in table.rows:
-        pc = mlmc.params_for_eps(row.epsilon, "classical")
-        pb = mlmc.params_for_eps(row.epsilon, "bit")
-        pq = mlmc.params_for_eps(row.epsilon, "bbit")
-        rows.append([repr(row.epsilon), pb.L, pb.q, row.bits_bit,
-                     row.bits_bbit, row.bits_bbit_log,
+    if len(eps_values) < 5:
+        raise ValueError("need a grid of at least 5 epsilon values")
+    rows, ratios = [], []
+    for eps in eps_values:
+        pc, pb, pq, pl = (mlmc.params_for_eps(eps, v) for v in mlmc.VARIANTS)
+        bits = [mlmc.bit_count_formula(p, args.d) for p in (pb, pq, pl)]
+        # normalizers in base-2 logarithms, matching the dyadic schedules
+        le = math.log2(1.0 / eps)
+        ratio = (bits[1] / (eps ** -2 * le ** 2.5),
+                 bits[2] / (eps ** -2 * le ** 2 * math.log2(le)))
+        ratios.append(ratio)
+        rows.append([repr(eps), pb.L, pb.q, *bits,
                      mlmc.info_cost_formula(pc), mlmc.work_model(pc),
                      mlmc.work_model(pb), mlmc.work_model(pq),
-                     repr(row.ratio_bbit), repr(row.ratio_bbit_log)])
-    rows.append(["band_bbit", repr(table.band_bbit)] + [""] * 10)
-    rows.append(["band_bbit_log", repr(table.band_bbit_log)] + [""] * 10)
+                     repr(ratio[0]), repr(ratio[1])])
+    for name, r in zip(("band_bbit", "band_bbit_log"), zip(*ratios)):
+        rows.append([name, repr(max(r) / min(r))] + [""] * 10)
     _write_csv(args.out, ["eps", "L", "q", "bits_bit", "bits_bbit",
                           "bits_bbit_log", "info_cost", "work_classical",
                           "work_bit", "work_bbit", "ratio_bbit",

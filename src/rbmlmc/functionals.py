@@ -17,7 +17,6 @@ from .euler import sup_distance_batch
 @dataclass(frozen=True)
 class Functional:
     label: str
-    lipschitz_bound: float
     eval_batch: Callable[[np.ndarray], np.ndarray]
 
 
@@ -46,7 +45,7 @@ def make_distance_to_ref(ref: np.ndarray | None) -> Functional:
     if ref is None:
         raise ValueError("distance_to_ref requires a reference point x0")
     ref = np.asarray(ref, dtype=float)
-    return Functional(label="distance_to_ref", lipschitz_bound=1.0,
+    return Functional(label="distance_to_ref",
                       eval_batch=lambda v: sup_distance_batch(v, ref))
 
 
@@ -56,13 +55,13 @@ def make_constant(c: float) -> Functional:
     def ev(values: np.ndarray) -> np.ndarray:
         return np.full(values.shape[0], c, dtype=float)
 
-    return Functional(label=f"const_{c}", lipschitz_bound=0.0, eval_batch=ev)
+    return Functional(label=f"const_{c}", eval_batch=ev)
 
 
 _PRESETS = {
-    "terminal": lambda x0: Functional("terminal", 1.0, _terminal),
-    "running_max": lambda x0: Functional("running_max", 1.0, _running_max),
-    "time_average": lambda x0: Functional("time_average", 1.0, _time_average),
+    "terminal": lambda x0: Functional("terminal", _terminal),
+    "running_max": lambda x0: Functional("running_max", _running_max),
+    "time_average": lambda x0: Functional("time_average", _time_average),
     "distance_to_ref": make_distance_to_ref,
 }
 

@@ -18,6 +18,8 @@ differing only in how the level-l increment batches are produced:
 Parameter schedules for a target accuracy eps in (0, 1/2):
 L = ceil(log2(eps^-2) + log2(log2(eps^-2))), N_l = ceil((L+1) 2^-l max(l,1)
 eps^-2), q = L; dyadic eps values are handled in exact integer arithmetic.
+The closed-form bit, coin, information-cost and work counts of a schedule
+close the module; cost-report tabulates them.
 """
 
 import math
@@ -119,20 +121,18 @@ def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
     if params.variant == "bit":
         v = bit_increments(src, m, q, d, n=N)
     else:
-        # Generators are drawn time index first; folding time into the
-        # coordinate axis combines every time index in one call.
-        if params.variant == "bbit":
-            n = params.n[level]
-            g = src.draw_dyadic_numerators(q, (m, 2 * n, d))
-            g = np.moveaxis(g, 0, 1).reshape(2 * n, m * d)
-            nums = quadratic_outputs(g[:n], g[n:], q, N).reshape(N, m, d)
-        elif N == 1:  # bbit_log
+        bbit = params.variant == "bbit"
+        if not bbit and N == 1:  # bbit_log's one generator is the output
             nums = src.draw_dyadic_numerators(q, (1, m, d))
         else:
-            nh = int(params.nhat[level])
-            g = src.draw_dyadic_numerators(q, (m, 2, nh, d))
-            g = np.moveaxis(g, 0, 2).reshape(2, nh, m * d)
-            nums = logarithmic_outputs(g, q, N).reshape(N, m, d)
+            # Both families draw two rows of k generators per time index,
+            # time first; folding time into the coordinate axis combines
+            # every time index in one call.
+            k = params.n[level] if bbit else int(params.nhat[level])
+            g = src.draw_dyadic_numerators(q, (m, 2, k, d))
+            g = np.moveaxis(g, 0, 2).reshape(2, k, m * d)
+            nums = (quadratic_outputs(g[0], g[1], q, N) if bbit
+                    else logarithmic_outputs(g, q, N)).reshape(N, m, d)
         v = quantized_normals(nums, q) / math.sqrt(m)
     ledger.bit_count += src.bits_consumed
     return v
@@ -226,48 +226,3 @@ def work_model(params: MLMCParams) -> int:
         return base + sum(n * (1 << l) * q for l, n in enumerate(params.n))
     return base + sum(int(round(2 * nh)) * (1 << l) * q
                       for l, nh in enumerate(params.nhat))
-
-
-@dataclass(frozen=True)
-class BitcountRow:
-    epsilon: float
-    bits_bit: int
-    bits_bbit: int
-    bits_bbit_log: int
-    ratio_bbit: float
-    ratio_bbit_log: float
-
-
-@dataclass(frozen=True)
-class BitcountTable:
-    rows: tuple
-    band_bbit: float       # max/min of bits_bbit / (eps^-2 (log2 eps^-1)^2.5)
-    band_bbit_log: float   # max/min vs eps^-2 (log2 eps^-1)^2 log2 log2 eps^-1
-
-
-def bitcount_bound_check(eps_grid, d: int = 1) -> BitcountTable:
-    """Exact schedule bit counts and their asymptotic-normalizer ratios.
-
-    Normalizers use base-2 logarithms, matching the dyadic schedules.
-    """
-    eps_grid = list(eps_grid)
-    if len(eps_grid) < 5:
-        raise ValueError("need a grid of at least 5 epsilon values")
-    rows = []
-    for eps in eps_grid:
-        bits = {v: bit_count_formula(params_for_eps(eps, v), d)
-                for v in ("bit", "bbit", "bbit_log")}
-        le = math.log2(1.0 / eps)
-        rows.append(BitcountRow(
-            epsilon=eps,
-            bits_bit=bits["bit"],
-            bits_bbit=bits["bbit"],
-            bits_bbit_log=bits["bbit_log"],
-            ratio_bbit=bits["bbit"] / (eps ** -2 * le ** 2.5),
-            ratio_bbit_log=bits["bbit_log"] / (eps ** -2 * le ** 2
-                                               * math.log2(le)),
-        ))
-    rb = [r.ratio_bbit for r in rows]
-    rl = [r.ratio_bbit_log for r in rows]
-    return BitcountTable(rows=tuple(rows), band_bbit=max(rb) / min(rb),
-                         band_bbit_log=max(rl) / min(rl))

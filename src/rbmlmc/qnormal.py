@@ -1,4 +1,4 @@
-"""Standard normal CDF/quantile and the dyadic quantization of normals.
+"""Standard normal quantile and the dyadic quantization of normals.
 
 The quantized normal at depth q is obtained by pushing a standard normal
 through the CDF, rounding to the midpoint of its dyadic cell of width 2^-q,
@@ -12,7 +12,6 @@ table per depth, grid_atoms(q); deeper ones come from the quantile itself.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -20,15 +19,9 @@ from scipy.special import ndtr, ndtri
 from .errors import FeasibilityError
 
 
-def normal_cdf(x):
-    """Standard normal distribution function; scalars in, scalar out."""
-    if np.isscalar(x):
-        return float(ndtr(x))
-    return ndtr(np.asarray(x, dtype=float))
-
-
 def normal_quantile(u):
-    """Inverse of normal_cdf on (0,1); raises for non-interior arguments."""
+    """Inverse of the standard normal CDF (scipy's ndtr) on (0,1); raises
+    for non-interior arguments."""
     scalar = np.isscalar(u)
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -69,19 +62,6 @@ def quantized_normals(nums, q: int) -> np.ndarray:
     return normal_quantile((nums + 0.5) / 2.0 ** q)
 
 
-@dataclass(frozen=True)
-class GridMoments:
-    """Exact moments of the depth-q quantized normal (up to quantile precision)."""
-
-    q: int
-    mean: float
-    second_moment: float
-
-    def abs_moment(self, r: float) -> float:
-        atoms = grid_atoms(self.q)
-        return float(np.mean(np.abs(atoms) ** r))
-
-
 @functools.cache
 def grid_atoms(q: int) -> np.ndarray:
     """The 2^q equiprobable atoms of the quantized normal, ascending: one
@@ -94,10 +74,3 @@ def grid_atoms(q: int) -> np.ndarray:
     atoms = normal_quantile(u)
     atoms.flags.writeable = False
     return atoms
-
-
-def exact_grid_moments(q: int) -> GridMoments:
-    """Mean and second moment by averaging over the 2^q grid atoms."""
-    atoms = grid_atoms(q)
-    return GridMoments(q=q, mean=float(np.mean(atoms)),
-                       second_moment=float(np.mean(atoms * atoms)))

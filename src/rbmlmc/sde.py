@@ -34,8 +34,10 @@ class SDEProblem:
 
     @property
     def gamma(self) -> float:
-        """Lipschitz constant of drift and diffusion (Frobenius norm): the
-        larger spectral norm of A and of B as an (r d, r) matrix."""
+        """The paper's Lipschitz constant gamma of drift and diffusion
+        (Frobenius norm), which its error bounds depend on; kept as that
+        object though no command reads it. It is the larger spectral norm
+        of A and of B as an (r d, r) matrix."""
         return float(max(np.linalg.norm(self.A, 2),
                          np.linalg.norm(self.B.reshape(-1, self.r), 2)))
 

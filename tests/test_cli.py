@@ -129,6 +129,12 @@ BAD_CONFIGS = [
     ["oracle", "--m", "1", "--q", "-1"],
     ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6", "--d", "0"],
     ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6", "--d", "-1"],
+    ["cost-report", "--eps-grid", "0.9,0.25,0.125,0.0625,0.03125"],
+    # a non-finite constant gives nan estimates, not a telescoping probe
+    ["run", "--variant", "bbit", "--eps", "0.25",
+     "--debug-const-functional", "inf"],
+    ["oracle", "--m", "2", "--q", "1", "--kind", "level-difference",
+     "--debug-const-functional", "nan"],
 ]
 # eps^-2 past the float range, with the eps the message must name
 EPS_OVERFLOW = [
@@ -258,6 +264,15 @@ def test_run_csv_matches_baseline_hashes(capsys):
         (["strong-error", "--mode", "quantization", "--sde", "linear2d",
           "--m", "64", "--reps", "500", "--q-min", "2", "--q-max", "6"],
          "6f1f4c37c0ca2079")]
+    # oracle and bakhvalov-check output, pinned when the mismatch oracle
+    # and the grid moments left the package
+    expected += [
+        (["oracle", "--sde", "gbm", "--functional", "running_max", "--kind",
+          "level-difference", "--m", "4", "--q", "2", "--mc-reps", "1000"],
+         "1a9337c093202b68"),
+        (["oracle", "--sde", "linear2d", "--functional", "distance_to_ref",
+          "--m", "1", "--q", "2", "--mc-reps", "1000"], "2796c0b9b897f1f2"),
+        (["bakhvalov-check", "--triple"], "2ce4547638992439")]
     for args, prefix in expected:
         code, out, _ = run_cli(args + ["--out", "-"], capsys)
         assert code == 0
@@ -405,6 +420,7 @@ def test_cost_report(capsys):
     assert len(data) == 7
     for r in data:
         assert int(r[4]) < int(r[3])  # bbit bits < bit bits
+        assert int(r[5]) < int(r[4])  # bbit_log bits < bbit bits
     bands = {rows[-2][0]: float(rows[-2][1]), rows[-1][0]: float(rows[-1][1])}
     assert bands["band_bbit"] < 4.0 and bands["band_bbit_log"] < 4.0
 

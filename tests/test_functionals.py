@@ -86,5 +86,4 @@ def test_eval_with_cost_charges_breakpoints():
 
 def test_constant_functional():
     f = make_constant(2.5)
-    assert f.lipschitz_bound == 0.0
     assert at(f, np.random.default_rng(0).normal(size=(5, 1))) == 2.5

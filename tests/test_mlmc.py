@@ -8,8 +8,8 @@ from rbmlmc.bitsource import BitSource
 from rbmlmc.functionals import make_constant, preset_functional
 from rbmlmc.ledger import CostLedger
 from rbmlmc.mlmc import (MLMCParams, _level_increments, bit_count_formula,
-                         bitcount_bound_check, coin_count_formula,
-                         info_cost_formula, params_for_eps, run, work_model)
+                         coin_count_formula, info_cost_formula, params_for_eps,
+                         run, work_model)
 from rbmlmc.qnormal import normal_quantile
 from rbmlmc.sde import make_gbm, make_zero_noise, preset
 
@@ -131,22 +131,6 @@ def test_level_variance_decays():
               params_for_eps(0.0625, "bit"), seed=11)
     v = [l.variance for l in rep.levels[1:]]
     assert v[0] > v[-1]
-
-
-def test_bitcount_bound_check_bands():
-    table = bitcount_bound_check([2.0 ** -k for k in range(2, 9)])
-    assert table.band_bbit < 4.0
-    assert table.band_bbit_log < 4.0
-    for row in table.rows:
-        assert row.bits_bbit < row.bits_bit
-        assert row.bits_bbit_log < row.bits_bbit
-
-
-def test_bitcount_bound_check_needs_grid():
-    with pytest.raises(ValueError):
-        bitcount_bound_check([0.25, 0.125])
-    with pytest.raises(ValueError):
-        bitcount_bound_check([0.9, 0.25, 0.125, 0.0625, 0.03125])
 
 
 def _per_step_increments(p, params, level, seed):

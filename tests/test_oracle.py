@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rbmlmc.errors import FeasibilityError
-from rbmlmc.euler import bit_increments
+from rbmlmc.euler import bit_increments, coarse_from_fine, euler_paths_batch
 from rbmlmc.bitsource import BitSource
 from rbmlmc.functionals import make_constant, preset_functional
-from rbmlmc.oracle import (coarse_distribution_mismatch,
-                           enumerate_bit_increments,
+from rbmlmc.oracle import (enumerate_bit_increments,
                            exact_expectation_bit_euler,
                            exact_level_difference)
 from rbmlmc.qnormal import grid_atoms, normal_quantile
@@ -107,7 +106,6 @@ def test_level_difference_mean_matches_expectation_gap():
     f = preset_functional("terminal")
     mean, var = exact_level_difference(p, f, m=2, q=2)
     fine_mean, _ = exact_expectation_bit_euler(p, f, m=2, q=2)
-    from rbmlmc.euler import coarse_from_fine, euler_paths_batch
     v = enumerate_bit_increments(2, 2, 1)
     coarse_mean = float(np.mean(f.eval_batch(
         euler_paths_batch(p, coarse_from_fine(v)))))
@@ -115,25 +113,41 @@ def test_level_difference_mean_matches_expectation_gap():
     assert var > 0.0
 
 
+def _tv(a, b):
+    """Total-variation distance of two equally weighted samples, values
+    grouped by exact float equality."""
+    union, inv = np.unique(np.concatenate([a.ravel(), b.ravel()]),
+                           return_inverse=True)
+    pa = np.bincount(inv[:a.size], minlength=union.size) / a.size
+    pb = np.bincount(inv[a.size:], minlength=union.size) / b.size
+    return 0.5 * float(np.abs(pa - pb).sum())
+
+
+def _coarse_increments(q):
+    """The direct m = 1 increment and the coupled coarse one, the sum of
+    two fine m = 2 increments, over every bit string, as the estimator
+    builds them."""
+    return (enumerate_bit_increments(1, q, 1).ravel(),
+            coarse_from_fine(enumerate_bit_increments(2, q, 1)).ravel())
+
+
 def test_coarse_distribution_mismatch_q1():
-    rep = coarse_distribution_mismatch(1)
+    direct, coupled = _coarse_increments(1)
+    support, counts = np.unique(coupled, return_counts=True)
     # pair sums of {+-Q3}/sqrt(2): {-2Q3, 0, 2Q3}/sqrt(2) w.p. 1/4,1/2,1/4
     np.testing.assert_allclose(
-        rep.coupled_support,
-        np.array([-2 * Q3, 0.0, 2 * Q3]) / math.sqrt(2), atol=1e-11)
-    np.testing.assert_allclose(rep.coupled_probs, [0.25, 0.5, 0.25])
-    assert rep.tv_distance > 0.4
-    assert rep.direct_mean == pytest.approx(0.0, abs=1e-15)
-    assert rep.coupled_mean == pytest.approx(0.0, abs=1e-12)
+        support, np.array([-2 * Q3, 0.0, 2 * Q3]) / math.sqrt(2), atol=1e-11)
+    assert counts.tolist() == [1, 2, 1]
+    assert _tv(direct, coupled) > 0.4
+    assert np.mean(direct) == pytest.approx(0.0, abs=1e-15)
+    assert np.mean(coupled) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coarse_distribution_mismatch_supports_disjoint():
     # the coupled support is a sqrt(2)-scaled sumset of quantile atoms and
     # never meets the direct atoms, so the distance is exactly one
     for q in (1, 3, 5):
-        rep = coarse_distribution_mismatch(q)
-        assert rep.tv_distance == pytest.approx(1.0)
-        assert rep.coupled_support.size > 1 << q
-        assert rep.coupled_probs.sum() == pytest.approx(1.0)
-    with pytest.raises(FeasibilityError):
-        coarse_distribution_mismatch(9)
+        direct, coupled = _coarse_increments(q)
+        assert _tv(direct, coupled) == 1.0
+        assert np.intersect1d(direct, coupled).size == 0
+        assert np.unique(coupled).size > 1 << q
