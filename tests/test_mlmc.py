@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from rbmlmc.bakhvalov import logarithmic_outputs, quadratic_outputs
 from rbmlmc.bitsource import BitSource
+from rbmlmc.cli import build_parser
 from rbmlmc.functionals import make_constant, preset_functional
 from rbmlmc.ledger import CostLedger
 from rbmlmc.mlmc import (MLMCParams, _level_increments, bit_count_formula,
@@ -131,6 +134,36 @@ def test_level_variance_decays():
               params_for_eps(0.0625, "bit"), seed=11)
     v = [l.variance for l in rep.levels[1:]]
     assert v[0] > v[-1]
+
+
+def _bitcount_bound_check(eps_values, capsys):
+    """cost-report on eps_values: its data rows and its two ratio bands."""
+    args = build_parser().parse_args(
+        ["cost-report", "--eps-grid", ",".join(map(repr, eps_values)),
+         "--out", "-"])
+    assert args.func(args) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    bands = {r[0]: float(r[1]) for r in rows[-2:]}
+    return rows[1:-2], bands
+
+
+def test_bitcount_bound_check_bands(capsys):
+    rows, bands = _bitcount_bound_check([2.0 ** -k for k in range(2, 9)],
+                                        capsys)
+    assert len(rows) == 7
+    assert bands["band_bbit"] < 4.0
+    assert bands["band_bbit_log"] < 4.0
+    for row in rows:
+        bits_bit, bits_bbit, bits_bbit_log = map(int, row[3:6])
+        assert bits_bbit < bits_bit
+        assert bits_bbit_log < bits_bbit
+
+
+def test_bitcount_bound_check_needs_grid(capsys):
+    with pytest.raises(ValueError):
+        _bitcount_bound_check([0.25, 0.125], capsys)
+    with pytest.raises(ValueError):
+        _bitcount_bound_check([0.9, 0.25, 0.125, 0.0625, 0.03125], capsys)
 
 
 def _per_step_increments(p, params, level, seed):
