@@ -8,13 +8,16 @@ Output is RFC-4180-style CSV with '.' decimals, one report line per
 check for bakhvalov-check. Results are a pure function of the
 configuration; --threads is accepted but changes nothing. Exit codes: 0
 success, 1 a failed bakhvalov-check, 2 configuration error, 3 feasibility
-error (an enumeration over its cap, or an allocation that fails). Every
+error (an enumeration over its cap, or an allocation that fails), 141 a
+reader that closed stdout early (128 + SIGPIPE, as `| head` reports a C
+tool). An --out path that cannot be opened is a configuration error. Every
 command computes all of its output first, so an error leaves none.
 """
 
 import argparse
 import csv
 import math
+import os
 import sys
 import time
 
@@ -67,8 +70,14 @@ def _write(path, emit) -> None:
     compute all output first, so an error leaves no partial output."""
     if path in (None, "-"):
         emit(sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
         return
-    with open(path, "w", newline="") as out:
+    try:
+        out = open(path, "w", newline="")
+    except OSError as exc:  # a missing directory, a directory, ''
+        raise ValueError(f"cannot open --out {path!r}: {exc.strerror}") \
+            from None
+    with out:
         emit(out)
 
 
@@ -338,6 +347,11 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so that the flush at
+        # exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

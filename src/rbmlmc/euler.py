@@ -142,7 +142,7 @@ def _affine_scan(plan, increments: np.ndarray, out: np.ndarray,
                 x.transpose(1, 2, 0).reshape(n, nb * s)[:, :t]
 
 
-def classical_increments(rng: np.random.Generator, m: int, d: int, n: int,
+def classical_increments(rng: "np.random.Generator", m: int, d: int, n: int,
                          ledger: CostLedger | None = None) -> np.ndarray:
     """Brownian increments (n, m, d) over steps 1/m: i.i.d. N(0, I_d/m)."""
     if m < 1:

@@ -9,12 +9,13 @@ suffice to sample it.
 The CDF and quantile are scipy's ndtr and ndtri: atoms are within a few ulps
 and odd bit for bit. For q <= 20 they are read from one cached, read-only
 table per depth, grid_atoms(q); deeper ones come from the quantile itself.
+scipy.special is imported inside the two functions that call it, so only
+the commands that map normals pay for loading it.
 """
 
 import functools
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import FeasibilityError
 
@@ -26,6 +27,7 @@ def normal_quantile(u):
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("normal_quantile requires 0 < u < 1")
+    from scipy.special import ndtri  # lazy: loading it takes ~0.25 s
     z = ndtri(arr)
     return float(z) if scalar else z
 
@@ -44,6 +46,7 @@ def quantize_normal(y, q: int):
         raise ValueError(f"q must be >= 1, got {q}")
     scalar = np.isscalar(y)
     arr = np.asarray(y, dtype=float)
+    from scipy.special import ndtr  # lazy, as ndtri in normal_quantile
     z = quantized_normals(_round_numerators(ndtr(arr), q), q)
     return float(z) if scalar else z
 

@@ -430,17 +430,91 @@ def test_cost_report_small_grid_exit_2(capsys):
     assert code == 2
 
 
-def test_console_entry_point():
+def _child_env():
     # the child imports the package under test, wherever pytest found it
     src = os.path.dirname(os.path.dirname(rbmlmc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_entry_point():
     r = subprocess.run([sys.executable, "-m", "rbmlmc.cli", "run",
                         "--variant", "bit", "--eps", "0.25", "--seeds", "0",
                         "--out", "-"], capture_output=True, text=True,
-                       env=env)
+                       env=_child_env())
     assert r.returncode == 0
     assert r.stdout.splitlines()[0].startswith("variant,eps,seed")
+
+
+_LAZY_IMPORTS = """
+import contextlib, io, sys
+import rbmlmc, rbmlmc.cli
+
+def cli(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert rbmlmc.cli.main(list(argv)) == 0, argv
+    return buf.getvalue()
+
+cli("cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6")
+cli("bakhvalov-check")
+assert "numpy.random" not in sys.modules
+cli("run", "--variant", "classical", "--sde", "linear2d",
+    "--functional", "distance_to_ref", "--eps", "0.25")
+assert "scipy.special" not in sys.modules
+out = cli("run", "--variant", "bit", "--eps", "0.25")
+assert "scipy.special" in sys.modules
+sys.stdout.write(out)
+"""
+
+
+def test_commands_load_only_the_modules_they_use():
+    # scipy.special takes most of a cold start, and only the commands that
+    # map normals need it; numpy.random only where a Philox stream is drawn
+    r = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS],
+                       capture_output=True, env=_child_env())
+    assert r.returncode == 0, r.stderr.decode()
+    # the bit CSV (bytes, so its \r\n stays) as before the import moved
+    assert hashlib.sha256(r.stdout).hexdigest()[:16] == "02e4f8e8ce5fd2dd"
+
+
+OUT_COMMANDS = [
+    ["run", "--variant", "bit", "--eps", "0.25"],
+    ["strong-error", "--mode", "quantization", "--m", "4", "--q-min", "1",
+     "--q-max", "2", "--reps", "10"],
+    ["bakhvalov-check"],
+    ["oracle", "--m", "2", "--q", "1"],
+    ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6"],
+]
+
+
+@pytest.mark.parametrize("target", ["missing", "directory", "empty"])
+@pytest.mark.parametrize("args", OUT_COMMANDS, ids=lambda a: a[0])
+def test_unwritable_out_exit_2(args, target, capsys, tmp_path):
+    path = {"missing": str(tmp_path / "no" / "x.csv"),
+            "directory": str(tmp_path), "empty": ""}[target]
+    code, out, err = run_cli(args + ["--out", path], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "--out" in err and repr(path) in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # a reader that has already gone, as after `| head -1`: deterministic
+    # even for output far smaller than a pipe buffer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "rbmlmc.cli", "run",
+                            "--variant", "classical", "--eps", "0.25",
+                            "--out", "-"], stdout=write_end,
+                           stderr=subprocess.PIPE, text=True,
+                           env=_child_env())
+    finally:
+        os.close(write_end)
+    assert r.returncode == 141
+    assert r.stderr == ""
 
 
 # CLI fuzz: small, bounded flag values, so every drawn command finishes in
