@@ -110,10 +110,8 @@ def exact_pairwise_check(n: int, q: int, variant: str) -> PairwiseCheckReport:
                 f"outputs and their pairs exceed 2^{ENUMERATION_BIT_CAP}")
     outs = _all_outputs(n, q, variant)
     big_r, count = outs.shape
-    failures = [("marginal", i) for i in range(count)
-                if not _jointly_uniform(outs, q, (i,))]
-    failures += [("pair",) + t for t in combinations(range(count), 2)
-                 if not _jointly_uniform(outs, q, t)]
+    failures = [("marginal",) + t for t in _nonuniform_tuples(outs, q, 1)]
+    failures += [("pair",) + t for t in _nonuniform_tuples(outs, q, 2)]
     return PairwiseCheckReport(variant=variant, n=n, q=q, count=count,
                                realizations=big_r, passed=not failures,
                                failures=tuple(failures))
@@ -137,14 +135,16 @@ def _jointly_uniform(outs: np.ndarray, q: int, indices) -> bool:
     return bool(np.all(np.bincount(idx, minlength=cells) == big_r // cells))
 
 
+def _nonuniform_tuples(outs: np.ndarray, q: int, size: int):
+    """Index tuples of a size, in order, whose exact joint is not uniform."""
+    return (t for t in combinations(range(outs.shape[1]), size)
+            if not _jointly_uniform(outs, q, t))
+
+
 def find_nonuniform_tuple(n: int, q: int, variant: str,
                           size: int) -> tuple | None:
     """First index tuple of the given size whose exact joint is not uniform."""
-    outs = _all_outputs(n, q, variant)
-    for t in combinations(range(outs.shape[1]), size):
-        if not _jointly_uniform(outs, q, t):
-            return t
-    return None
+    return next(_nonuniform_tuples(_all_outputs(n, q, variant), q, size), None)
 
 
 def find_nonuniform_triple(n: int, q: int,

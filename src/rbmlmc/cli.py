@@ -202,18 +202,16 @@ def cmd_oracle(args) -> int:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     if args.mc_reps < 0:
         raise ValueError(f"--mc-reps must be >= 0, got {args.mc_reps}")
-    if args.kind == "expectation":
-        mean, var = oracle.exact_expectation_bit_euler(
-            problem, f, args.m, args.q)
-    else:
-        mean, var = oracle.exact_level_difference(
-            problem, f, args.m, args.q)
+    coupled = args.kind == "level-difference"
+    exact = (oracle.exact_level_difference if coupled
+             else oracle.exact_expectation_bit_euler)
+    mean, var = exact(problem, f, args.m, args.q)
     mc_mean = z = ""
     if args.mc_reps:
         src = BitSource(seed, 0)
         v = euler.bit_increments(src, args.m, args.q, problem.d,
                                  n=args.mc_reps)
-        vals = mlmc.level_values(problem, f, v, args.kind != "expectation")
+        vals = mlmc.level_values(problem, f, v, coupled)
         mc_mean = float(np.mean(vals))
         sigma = math.sqrt(var / args.mc_reps) if var > 0 else 0.0
         z = repr((mc_mean - mean) / sigma if sigma > 0 else 0.0)

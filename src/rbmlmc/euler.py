@@ -142,13 +142,11 @@ def _affine_scan(plan, increments: np.ndarray, out: np.ndarray,
                 x.transpose(1, 2, 0).reshape(n, nb * s)[:, :t]
 
 
-def classical_increments(rng: "np.random.Generator", m: int, d: int, n: int,
-                         ledger: CostLedger | None = None) -> np.ndarray:
+def classical_increments(rng: "np.random.Generator", m: int, d: int,
+                         n: int) -> np.ndarray:
     """Brownian increments (n, m, d) over steps 1/m: i.i.d. N(0, I_d/m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if ledger is not None:
-        ledger.coin_count += n * m * d
     return rng.standard_normal((n, m, d)) / math.sqrt(m)
 
 
@@ -176,30 +174,29 @@ def coarse_from_fine(increments: np.ndarray) -> np.ndarray:
 
 def quantized_increments_from_normals(normals: np.ndarray, m: int,
                                       q: int) -> np.ndarray:
-    """Common-randomness coupling: quantize scaled normals m^{1/2} V to depth q.
-
-    Given classical increments V = m^{-1/2} Y this returns m^{-1/2} Y^(q),
-    i.e. the bit-scheme increments driven by the same underlying normals.
+    """Common-randomness coupling: given the standard normals Y behind the
+    classical increments V = m^{-1/2} Y, return m^{-1/2} Y^(q), the
+    bit-scheme increments quantized to depth q from the same normals.
     """
-    y = np.asarray(normals, dtype=float) * math.sqrt(m)
-    return quantize_normal(y, q) / math.sqrt(m)
+    return quantize_normal(normals, q) / math.sqrt(m)
 
 
 def bit_vs_classical_sup_sq(p: SDEProblem, m: int, q: int, reps: int,
                             seed: int) -> float:
     """Mean squared sup-distance between the classical and bit schemes when
     both are driven by the SAME normals (V = m^-1/2 Y vs m^-1/2 Y^(q)).
-    Replications run in blocks of about 2^20 normals, drawn in order, and
+    Replications run in blocks of about 2^20 normals Y, drawn in order, and
     the one mean is taken over all their sup distances."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
     sups = np.empty(reps)
     size = max(1, (1 << 20) // (m * p.d))
     for i in range(0, reps, size):
-        v_c = rng.standard_normal((min(size, reps - i), m, p.d)) / math.sqrt(m)
-        v_bit = quantized_increments_from_normals(v_c, m, q)
-        sups[i:i + size] = sup_distance_batch(euler_paths_batch(p, v_c),
-                                              euler_paths_batch(p, v_bit))
+        y = rng.standard_normal((min(size, reps - i), m, p.d))
+        v_bit = quantized_increments_from_normals(y, m, q)
+        sups[i:i + size] = sup_distance_batch(
+            euler_paths_batch(p, y / math.sqrt(m)),
+            euler_paths_batch(p, v_bit))
     return float(np.mean(sups ** 2))
 
 

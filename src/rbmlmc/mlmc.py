@@ -17,7 +17,7 @@ differing only in how the level-l increment batches are produced:
 
 Parameter schedules for a target accuracy eps in (0, 1/2):
 L = ceil(log2(eps^-2) + log2(log2(eps^-2))), N_l = ceil((L+1) 2^-l max(l,1)
-eps^-2), q = L; dyadic eps values are handled in exact integer arithmetic.
+eps^-2), q = L; N_l is exact through Fraction.
 The closed-form bit, coin, information-cost and work counts of a schedule
 close the module; cost-report tabulates them.
 """
@@ -80,12 +80,8 @@ def params_for_eps(epsilon: float, variant: str) -> MLMCParams:
     if x > np.finfo(float).max:
         raise ValueError(f"epsilon^-2 exceeds the float range, got epsilon "
                          f"= {epsilon!r}")
-    if x.denominator == 1 and x.numerator & (x.numerator - 1) == 0:
-        t = x.numerator.bit_length() - 1  # log2(eps^-2), exact integer
-        L = t + (t - 1).bit_length()      # ceil(t + log2 t)
-    else:
-        lx = math.log2(float(x))
-        L = math.ceil(lx + math.log2(lx))
+    lx = math.log2(float(x))
+    L = math.ceil(lx + math.log2(lx))
     N = tuple(
         -(-((L + 1) * max(l, 1) * x.numerator) // (x.denominator << l))
         for l in range(L + 1))
@@ -115,7 +111,9 @@ def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
     if params.variant == "classical":
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, level], dtype=np.uint64)))
-        return classical_increments(rng, m, d, n=N, ledger=ledger)
+        v = classical_increments(rng, m, d, n=N)
+        ledger.coin_count += v.size
+        return v
     src = BitSource(seed, stream_id=level)
     q = params.q
     if params.variant == "bit":
@@ -215,7 +213,11 @@ def info_cost_formula(params: MLMCParams) -> int:
 
 
 def work_model(params: MLMCParams) -> int:
-    """Order-of-cost surrogate from the analysis, by variant."""
+    """Order-of-cost surrogate from the analysis, by variant, with base =
+    sum_l N_l m_l: classical is base; bit is q * base, with no base term;
+    bbit is base + q sum_l n_l m_l, which counts half of its 2 n_l
+    generators; bbit_log is base + q sum_l 2 nhat_l m_l, which counts all
+    of them."""
     base = sum(N * (1 << l) for l, N in enumerate(params.N))
     if params.variant == "classical":
         return base

@@ -23,13 +23,11 @@ from .errors import FeasibilityError
 def normal_quantile(u):
     """Inverse of the standard normal CDF (scipy's ndtr) on (0,1); raises
     for non-interior arguments."""
-    scalar = np.isscalar(u)
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("normal_quantile requires 0 < u < 1")
     from scipy.special import ndtri  # lazy: loading it takes ~0.25 s
-    z = ndtri(arr)
-    return float(z) if scalar else z
+    return ndtri(arr)
 
 
 def _round_numerators(x: np.ndarray, q: int) -> np.ndarray:
@@ -44,11 +42,9 @@ def quantize_normal(y, q: int):
     """Quantized normal: quantile(round(cdf(y))) on the 2^q-atom grid."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    scalar = np.isscalar(y)
-    arr = np.asarray(y, dtype=float)
     from scipy.special import ndtr  # lazy, as ndtri in normal_quantile
-    z = quantized_normals(_round_numerators(ndtr(arr), q), q)
-    return float(z) if scalar else z
+    return quantized_normals(
+        _round_numerators(ndtr(np.asarray(y, dtype=float)), q), q)
 
 
 _MAX_GRID_Q = 20

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmlmc import bakhvalov
 from rbmlmc.bakhvalov import (_all_outputs, _slot_sums, exact_pairwise_check,
                               find_nonuniform_triple, find_nonuniform_tuple,
                               joint_is_uniform, logarithmic_outputs,
@@ -66,6 +67,20 @@ def test_exact_pairwise_check_passes():
             rep = exact_pairwise_check(n, q, variant)
             assert rep.passed, str(rep)
             assert rep.realizations == 1 << (2 * n * q)
+
+
+def test_failures_list_marginals_then_pairs(monkeypatch):
+    # q = 1 over 4 realizations: columns 0 and 1 are jointly uniform,
+    # column 2 is constant and column 3 repeats column 0
+    outs = np.array([[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 0], [1, 1, 0, 1]])
+    monkeypatch.setattr(bakhvalov, "_all_outputs", lambda n, q, variant: outs)
+    rep = exact_pairwise_check(2, 1, "quadratic")
+    failures = (("marginal", 2), ("pair", 0, 2), ("pair", 0, 3),
+                ("pair", 1, 2), ("pair", 2, 3))
+    assert not rep.passed and rep.failures == failures
+    assert str(rep) == ("quadratic n=2 q=1: 4 outputs, 4 realizations "
+                        f"enumerated -> FAIL failures={failures}")
+    assert find_nonuniform_tuple(2, 1, "quadratic", 2) == (0, 2)
 
 
 def test_marginal_uniformity_sampled():

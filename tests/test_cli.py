@@ -263,7 +263,13 @@ def test_run_csv_matches_baseline_hashes(capsys):
           "0,1,2"], "cf5c29947b74f7d1"),
         (["strong-error", "--mode", "quantization", "--sde", "linear2d",
           "--m", "64", "--reps", "500", "--q-min", "2", "--q-max", "6"],
-         "6f1f4c37c0ca2079")]
+         "6f1f4c37c0ca2079"),
+        # m = 32 has no exact sqrt, so the quantized side's scaling shows;
+        # the discretization table is pinned nowhere else
+        (["strong-error", "--mode", "quantization", "--m", "32", "--reps",
+          "500", "--q-min", "2", "--q-max", "6"], "c5ff6d908e703812"),
+        (["strong-error", "--mode", "discretization", "--m-min", "16",
+          "--m-max", "64", "--reps", "200"], "b0cf975addeca451")]
     # oracle and bakhvalov-check output, pinned when the mismatch oracle
     # and the grid moments left the package
     expected += [

@@ -499,7 +499,7 @@ def _one_batch_sup_sq(p, m, q, reps, seed):
         np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
     y = rng.standard_normal((reps, m, p.d))
     v_c = y / math.sqrt(m)
-    v_bit = quantized_increments_from_normals(v_c, m, q)
+    v_bit = quantized_increments_from_normals(y, m, q)
     a = euler_paths_batch(p, v_c)
     b = euler_paths_batch(p, v_bit)
     return float(np.mean(sup_distance_batch(a, b) ** 2))

@@ -52,6 +52,15 @@ def test_schedule_rejects_bad_eps():
         params_for_eps(0.25, "tetradic")
 
 
+def test_schedule_L_at_dyadic_eps_is_the_integer_formula():
+    # eps = 2^-k: log2(eps^-2) = t = 2k, and ceil(t + log2 t) in integers
+    for k in range(2, 512):
+        t = 2 * k
+        assert params_for_eps(2.0 ** -k, "bit").L == t + (t - 1).bit_length()
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        params_for_eps(2.0 ** -512, "bit")
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MLMCParams(variant="bit", L=1, N=(4, 2))  # missing q

@@ -91,6 +91,17 @@ def test_quantile_domain_errors():
             normal_quantile(bad)
 
 
+def test_scalar_input_gives_a_float():
+    # q = 25 takes the quantile formula instead of the atom table
+    for got, arr in ((normal_quantile(0.3), normal_quantile(np.array([0.3]))),
+                     (quantize_normal(0.3, 5),
+                      quantize_normal(np.array([0.3]), 5)),
+                     (quantize_normal(0.3, 25),
+                      quantize_normal(np.array([0.3]), 25))):
+        assert isinstance(got, float)
+        assert got == arr[0]
+
+
 def test_round_dyadic_examples():
     # quantize_normal rounds cdf(y) to the midpoint of its dyadic cell
     assert quantize_normal(normal_quantile(0.3), 1) == pytest.approx(
