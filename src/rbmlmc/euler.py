@@ -178,25 +178,39 @@ def quantized_increments_from_normals(normals: np.ndarray, m: int,
     classical increments V = m^{-1/2} Y, return m^{-1/2} Y^(q), the
     bit-scheme increments quantized to depth q from the same normals.
     """
-    return quantize_normal(normals, q) / math.sqrt(m)
+    v = quantize_normal(normals, q)
+    v /= math.sqrt(m)
+    return v
+
+
+# Normals per block of bit_vs_classical_sup_sq: a block's quantizer, scaling
+# and sup passes work on 2 MiB arrays, about one L2 cache.
+_STRONG_NORMALS = 1 << 18
 
 
 def bit_vs_classical_sup_sq(p: SDEProblem, m: int, q: int, reps: int,
                             seed: int) -> float:
     """Mean squared sup-distance between the classical and bit schemes when
     both are driven by the SAME normals (V = m^-1/2 Y vs m^-1/2 Y^(q)).
-    Replications run in blocks of about 2^20 normals Y, drawn in order, and
-    the one mean is taken over all their sup distances."""
+    Replications run in blocks of about _STRONG_NORMALS normals Y, drawn in
+    order, and the one mean is taken over all their sup distances.
+
+    Y and V of every block live in one allocation, 4 MiB for full blocks.
+    Freed at the end of a call, it lifts glibc's mmap threshold to its size
+    and the heap trim threshold to twice that, so later calls mostly reuse
+    the heap instead of trimming it and faulting it back in every block.
+    """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
     sups = np.empty(reps)
-    size = max(1, (1 << 20) // (m * p.d))
+    size = min(reps, max(1, _STRONG_NORMALS // (m * p.d)))
+    y_buf, v_buf = np.empty((2, size, m, p.d))
     for i in range(0, reps, size):
-        y = rng.standard_normal((min(size, reps - i), m, p.d))
-        v_bit = quantized_increments_from_normals(y, m, q)
+        y = rng.standard_normal(out=y_buf[:min(size, reps - i)])
+        v = np.divide(y, math.sqrt(m), out=v_buf[:len(y)])
         sups[i:i + size] = sup_distance_batch(
-            euler_paths_batch(p, y / math.sqrt(m)),
-            euler_paths_batch(p, v_bit))
+            euler_paths_batch(p, v),
+            euler_paths_batch(p, quantized_increments_from_normals(y, m, q)))
     return float(np.mean(sups ** 2))
 
 

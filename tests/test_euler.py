@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbmlmc.bitsource import BitSource
-from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_STEPS, bit_increments,
-                          bit_vs_classical_sup_sq, classical_increments,
-                          coarse_from_fine, euler_paths_batch,
-                          gbm_strong_error_vs_exact,
+from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_STEPS, _STRONG_NORMALS,
+                          bit_increments, bit_vs_classical_sup_sq,
+                          classical_increments, coarse_from_fine,
+                          euler_paths_batch, gbm_strong_error_vs_exact,
                           quantized_increments_from_normals,
                           sup_distance_batch)
 from rbmlmc.ledger import CostLedger
@@ -506,11 +506,15 @@ def _one_batch_sup_sq(p, m, q, reps, seed):
 
 
 @pytest.mark.parametrize("name, m, reps", [
-    ("gbm", 4096, 1), ("gbm", 4096, 256), ("gbm", 4096, 257),
-    ("gbm", 4096, 600), ("linear2d", 2048, 1), ("linear2d", 2048, 513),
-    ("linear2d", 100, 777)])
+    ("gbm", 4096, 1), ("gbm", 4096, 64), ("gbm", 4096, 65),
+    ("gbm", 4096, 256), ("gbm", 4096, 257), ("gbm", 4096, 600),
+    ("linear2d", 2048, 1), ("linear2d", 2048, 64), ("linear2d", 2048, 65),
+    ("linear2d", 2048, 513), ("linear2d", 100, 777),
+    ("linear2d", 100, 1311)])
 def test_strong_quantization_blocks_equal_one_batch(name, m, reps):
-    # a block holds 2^20 / (m d) replications: 256 at m = 4096, d = 1
+    # a block holds 2^18 / (m d) replications: 64 at m = 4096, d = 1 and at
+    # m = 2048, d = 2; 1310 at m = 100, d = 2
+    assert _STRONG_NORMALS == 1 << 18
     p = preset(name)
     for q in (2, 5):
         got = bit_vs_classical_sup_sq(p, m, q, reps, seed=9)
@@ -519,7 +523,9 @@ def test_strong_quantization_blocks_equal_one_batch(name, m, reps):
 
 def test_strong_quantization_memory_bounded_in_reps():
     # At reps=16384, m=256 every (reps, m) array is 32 MiB; the blocks keep
-    # the peak near a few 8 MiB arrays.
+    # the peak near a few 2 MiB arrays (13.2 MiB). The warm-up call loads
+    # scipy.special and builds the q = 4 cell table outside the trace.
+    bit_vs_classical_sup_sq(preset("gbm"), 256, 4, 1, 0)
     tracemalloc.start()
     try:
         msd = bit_vs_classical_sup_sq(preset("gbm"), 256, 4, 16384, 0)
@@ -527,4 +533,4 @@ def test_strong_quantization_memory_bounded_in_reps():
     finally:
         tracemalloc.stop()
     assert 0 < msd < 1e-2
-    assert peak < 64 * 2 ** 20
+    assert peak < 16 * 2 ** 20

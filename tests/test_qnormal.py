@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from rbmlmc.bitsource import BitSource
 from rbmlmc.errors import FeasibilityError
 from rbmlmc.euler import bit_increments
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
-from rbmlmc.qnormal import (grid_atoms, normal_quantile, quantize_normal,
+from rbmlmc import qnormal
+from rbmlmc.qnormal import (_BUCKETS_PER_UNIT, _MAX_TABLE_Q, _TABLE_RANGE,
+                            grid_atoms, normal_quantile, quantize_normal,
                             quantized_normals)
 
 # Reference CDF values frozen from a 30-digit mpmath computation.
@@ -231,3 +233,78 @@ def test_atom_grid_is_odd_bitwise():
         atoms = grid_atoms(q)
         assert np.array_equal(atoms.view(np.int64),
                               (-atoms[::-1]).view(np.int64)), q
+
+
+# Frozen copy of the quantizer as it was before the bucket table: the cell
+# floor(ndtr(y) 2^q), clamped to the top cell, and the atom by the formula.
+def _frozen_quantize(y, q):
+    k = np.minimum(np.floor(ndtr(y) * (1 << q)).astype(np.int64),
+                   (1 << q) - 1)
+    return ndtri((k + 0.5) / 2 ** q)
+
+
+def _assert_bitwise_frozen(y, q):
+    got, want = quantize_normal(y, q), _frozen_quantize(y, q)
+    assert np.array_equal(np.asarray(got).view(np.int64),
+                          np.asarray(want).view(np.int64)), q
+
+
+def _ulp_neighbours(x, n):
+    """Every double within n ulps of each |x|, with both signs."""
+    bits = np.abs(np.asarray(x, dtype=float)).view(np.int64)
+    bits = (bits[:, None] + np.arange(-n, n + 1)).ravel()
+    mags = bits[bits >= 0].view(np.float64)
+    return np.concatenate([mags, -mags])
+
+
+def test_quantize_normal_equals_frozen_copy_at_every_boundary():
+    # every double within 300 ulps of a cell boundary ndtri(k / 2^q), and
+    # within 4 ulps of a bucket edge, reads the frozen copy's atom
+    edges = (np.arange(-_TABLE_RANGE * _BUCKETS_PER_UNIT,
+                       _TABLE_RANGE * _BUCKETS_PER_UNIT + 1)
+             / _BUCKETS_PER_UNIT)
+    near_edges = _ulp_neighbours(edges, 4)
+    for q in range(1, _MAX_TABLE_Q + 1):
+        _assert_bitwise_frozen(
+            _ulp_neighbours(ndtri(np.arange(1, 1 << q) / 2 ** q), 300), q)
+        _assert_bitwise_frozen(near_edges, q)
+
+
+def test_quantize_normal_special_values():
+    tiny = np.finfo(float).tiny
+    y = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324,
+                  -5e-324, tiny / 3, -tiny / 3, tiny, -tiny, 9.0, -9.0,
+                  np.nextafter(9.0, 0), np.nextafter(-9.0, 0), 40.0, -40.0])
+    for q in (1, 2, 9, _MAX_TABLE_Q, _MAX_TABLE_Q + 1, 25):
+        _assert_bitwise_frozen(y, q)
+        for x in y[:4]:
+            for arg in (x, np.array(x)):
+                got = quantize_normal(arg, q)
+                assert isinstance(got, float)
+                assert got == _frozen_quantize(x, q)
+
+
+def test_quantize_normal_random_samples_equal_frozen_copy():
+    # above the cap every y takes ndtr; below it most read the table
+    rng = np.random.default_rng(19)
+    y = np.concatenate([rng.standard_normal(20000),
+                        rng.uniform(-12.0, 12.0, 5000)])
+    for q in (1, 5, _MAX_TABLE_Q, _MAX_TABLE_Q + 1, 16, 20, 21, 30):
+        _assert_bitwise_frozen(y, q)
+        _assert_bitwise_frozen(y.reshape(5, 50, 100), q)
+
+
+def test_quantize_normal_rejects_nan():
+    for q in (3, _MAX_TABLE_Q + 1):
+        for y in (np.nan, np.array([0.5, np.nan, -1.0])):
+            with pytest.raises(ValueError, match="y contains NaN"):
+                quantize_normal(y, q)
+
+
+def test_one_int16_cell_table_stays_resident():
+    quantize_normal(np.zeros(4), 3)
+    quantize_normal(np.zeros(4), 5)
+    info = qnormal._cell_table.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    table = qnormal._cell_table(5)
+    assert table.dtype == np.int16 and not table.flags.writeable

@@ -59,3 +59,8 @@ def test_tracer_patch_points(argv):
     if argv[0] == "run":
         assert tracer.reports
         assert tracer.totals()[0]["euler.coarse"] > 0
+    if argv[:3] == ["strong-error", "--mode", "quantization"]:
+        # the kernel maps its normals through the two wrapped names
+        self_s = tracer.totals()[0]
+        assert self_s["qnormal.quantile"] > 0
+        assert self_s["euler.increments"] > 0
