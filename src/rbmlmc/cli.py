@@ -150,12 +150,11 @@ def cmd_strong_error(args) -> int:
                              f"{args.m_max}")
     rows = []
     if args.mode in ("quantization", "both"):
-        problem = sde.preset(args.sde)
-        for q in range(args.q_min, args.q_max + 1):
-            msd = euler.bit_vs_classical_sup_sq(
-                problem, args.m, q, args.reps, seed)
-            rows.append(["quantization", args.sde, args.m, q, repr(msd),
-                         args.reps])
+        qs = list(range(args.q_min, args.q_max + 1))
+        msds = euler.bit_vs_classical_sup_sq(
+            sde.preset(args.sde), args.m, qs, args.reps, seed)
+        rows += [["quantization", args.sde, args.m, q, repr(msd), args.reps]
+                 for q, msd in zip(qs, msds)]
     if args.mode in ("discretization", "both"):
         g = sde.preset("gbm")
         m = args.m_min

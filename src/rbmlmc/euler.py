@@ -21,7 +21,7 @@ from .sde import SDEProblem
 
 # The scan runs time chunks of T = min(m, _SCAN_STEPS) steps over balanced
 # row blocks of at most _SCAN_ELEMS // T paths, which bounds its scratch
-# memory (tracemalloc peak 7.3 MiB for d = r = 2, 3.1 MiB for gbm). T follows
+# memory (tracemalloc peak 7.3 MiB for d = r = 2, 2.6 MiB for gbm). T follows
 # from m alone and paths are independent, so a path's floats do not depend
 # on the batch it is run in.
 _SCAN_STEPS = 1 << 10
@@ -121,10 +121,10 @@ def _affine_scan(plan, increments: np.ndarray, out: np.ndarray,
         dw = dw.reshape(n, nb, s, d).transpose(3, 2, 0, 1).copy()
         # one-step maps S: (s, n, nb) planes, or s constants; in-block prefix
         # maps M: (r, r + 1, s, n, nb), summed plane by plane, as numpy is
-        # slow on many tiny matrices
+        # slow on many tiny matrices; column r only if some row has a c
         S = {(i, k): _fold([(b, dw[j]) for b, j in noise], const or None)
              if noise else [const] * s for i, k, const, noise, _ in maps}
-        M = np.empty((r, r + 1, s, n, nb))
+        M = np.empty((r, r + any(c for _, c in rows), s, n, nb))
         for i, k, *_ in maps:
             M[i, k, 0] = S[i, k][0]
         _recur([(M[i, k], [(S[i, l][1:], M[l, k]) for l in ls],
@@ -162,13 +162,18 @@ def bit_increments(src: BitSource, m: int, q: int, d: int,
 def coarse_from_fine(increments: np.ndarray) -> np.ndarray:
     """Pairwise sums of adjacent fine increments; (..., m, d) -> (..., m/2, d).
 
-    (0.0 + even) + odd step planes: bit for bit numpy's sum over a length-2
-    axis, which starts from its identity (-0.0 + -0.0 gives +0.0).
+    (0.0 + even) + odd steps, one component plane at a time (long strided
+    loops instead of runs of d) into an output laid out as the increments
+    are: bit for bit numpy's sum over a length-2 axis, which starts from
+    its identity (-0.0 + -0.0 gives +0.0).
     """
     if increments.shape[-2] % 2 != 0:
         raise ValueError("fine step count must be even")
-    out = 0.0 + increments[..., 0::2, :]
-    out += increments[..., 1::2, :]
+    out = np.empty_like(increments[..., 0::2, :],
+                        np.result_type(increments, 0.0))
+    for j in range(increments.shape[-1]):
+        plane = np.add(0.0, increments[..., 0::2, j], out=out[..., j])
+        plane += increments[..., 1::2, j]
     return out
 
 
@@ -186,32 +191,47 @@ def quantized_increments_from_normals(normals: np.ndarray, m: int,
 # Normals per block of bit_vs_classical_sup_sq: a block's quantizer, scaling
 # and sup passes work on 2 MiB arrays, about one L2 cache.
 _STRONG_NORMALS = 1 << 18
+# Second Philox key word of the quantization sweep; see its docstring.
+_SWEEP_STREAM = (1 << 64) - 1
 
 
-def bit_vs_classical_sup_sq(p: SDEProblem, m: int, q: int, reps: int,
-                            seed: int) -> float:
+def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
+                            seed: int) -> list[float]:
     """Mean squared sup-distance between the classical and bit schemes when
-    both are driven by the SAME normals (V = m^-1/2 Y vs m^-1/2 Y^(q)).
-    Replications run in blocks of about _STRONG_NORMALS normals Y, drawn in
-    order, and the one mean is taken over all their sup distances.
+    both are driven by the SAME normals (V = m^-1/2 Y vs m^-1/2 Y^(q)), one
+    mean per depth q of the sequence qs.
 
-    Y and V of every block live in one allocation, 4 MiB for full blocks.
-    Freed at the end of a call, it lifts glibc's mmap threshold to its size
-    and the heap trim threshold to twice that, so later calls mostly reuse
-    the heap instead of trimming it and faulting it back in every block.
+    Every depth shares the normals: replications run in blocks of about
+    _STRONG_NORMALS normals Y, drawn in order, and each block runs the
+    classical path once and, for each q, quantizes Y and runs the bit path.
+    One mean per q is taken over all its sup distances, so each mean is
+    independent of the block size and of the other depths in qs.
+
+    Y comes from Philox keyed [seed, 2^64 - 1], which no other stream has:
+    `run` classical keys [seed, level] with level < 64, and the
+    discretization rows key [seed, m] with m < 2^59 (a refined grid of
+    16 m + 1 points must be indexable; gbm_strong_error_vs_exact builds it
+    before its key).
+
+    Y and V of a block live in one allocation, 4 MiB for full blocks. The
+    first block's, freed, lifts glibc's mmap threshold to its size and the
+    heap trim threshold to twice that, so the later blocks' 2 MiB arrays
+    come from the heap instead of fresh mappings faulted in page by page.
     """
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
-    sups = np.empty(reps)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, _SWEEP_STREAM], dtype=np.uint64)))
+    sups = np.empty((len(qs), reps))
     size = min(reps, max(1, _STRONG_NORMALS // (m * p.d)))
-    y_buf, v_buf = np.empty((2, size, m, p.d))
     for i in range(0, reps, size):
-        y = rng.standard_normal(out=y_buf[:min(size, reps - i)])
-        v = np.divide(y, math.sqrt(m), out=v_buf[:len(y)])
-        sups[i:i + size] = sup_distance_batch(
-            euler_paths_batch(p, v),
-            euler_paths_batch(p, quantized_increments_from_normals(y, m, q)))
-    return float(np.mean(sups ** 2))
+        y, v = np.empty((2, min(size, reps - i), m, p.d))
+        rng.standard_normal(out=y)
+        np.divide(y, math.sqrt(m), out=v)
+        classical = euler_paths_batch(p, v)
+        for row, q in zip(sups, qs):
+            # unnamed, a depth's arrays are freed before the next quantizes
+            row[i:i + size] = sup_distance_batch(classical, euler_paths_batch(
+                p, quantized_increments_from_normals(y, m, q)))
+    return [float(np.mean(row ** 2)) for row in sups]
 
 
 # Replications per block of gbm_strong_error_vs_exact: its arrays are
@@ -236,11 +256,13 @@ def gbm_strong_error_vs_exact(p: SDEProblem, m: int, reps: int,
     if p.r != 1 or p.d != 1 or p.a0.any() or p.b0.any():
         raise ValueError(f"{p.label} has no gbm closed form: need r = d = 1 "
                          f"and a0 = b0 = 0")
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, m], dtype=np.uint64)))
     mu, sigma, x0 = p.A[0, 0], p.B[0, 0, 0], p.x0[0]
     mf = m * _REFINE
+    # the grid comes before the key: at m >= 2^59 it cannot be indexed, so
+    # no key [seed, m] of such an m is formed
     t = np.arange(mf + 1) / mf
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, m], dtype=np.uint64)))
     # Euler path linearly interpolated onto the fine grid.
     k_idx = np.minimum((t * m).astype(np.int64), m - 1)
     wgt = t * m - k_idx

@@ -17,8 +17,9 @@ only where both of its ends, pushed outwards by a margin of 1e-12 in ndtr,
 floor to that cell. The margin is far above ndtr's error and above the
 rounding of the bucket index, and floor is monotone, so every y in such a
 bucket has that cell. The y of other buckets, y outside [-9, 9) and every
-y at depths above the cap take ndtr, so each k is the one ndtr gives. Only
-the last depth's table is kept (147 KB of int16).
+y at depths above the cap take ndtr, so each k is the one ndtr gives. Each
+depth's table is built once and kept (147 KB of int16, at most 1.6 MB for
+all _MAX_TABLE_Q of them), as a strong-error sweep alternates depths.
 
 scipy.special is imported inside the functions that call it, so only the
 commands that map normals pay for loading it.
@@ -102,7 +103,7 @@ _BUCKET_OFFSET = _TABLE_RANGE * _BUCKETS_PER_UNIT + 1
 _CELL_MARGIN = 1e-12
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def _cell_table(q: int) -> np.ndarray:
     """The cell of every y in each bucket at depth q, or -1 where a bucket
     may hold two cells or lies outside [-9, 9)."""

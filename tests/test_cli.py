@@ -261,13 +261,14 @@ def test_run_csv_matches_baseline_hashes(capsys):
         (["run", "--variant", "classical", "--sde", "linear2d",
           "--functional", "distance_to_ref", "--eps", "0.0625", "--seeds",
           "0,1,2"], "cf5c29947b74f7d1"),
+        # the two quantization tables as the depths came to share normals
         (["strong-error", "--mode", "quantization", "--sde", "linear2d",
           "--m", "64", "--reps", "500", "--q-min", "2", "--q-max", "6"],
-         "6f1f4c37c0ca2079"),
+         "8483f431e3638f0f"),
         # m = 32 has no exact sqrt, so the quantized side's scaling shows;
         # the discretization table is pinned nowhere else
         (["strong-error", "--mode", "quantization", "--m", "32", "--reps",
-          "500", "--q-min", "2", "--q-max", "6"], "c5ff6d908e703812"),
+          "500", "--q-min", "2", "--q-max", "6"], "3c2c1b20e09a4c94"),
         (["strong-error", "--mode", "discretization", "--m-min", "16",
           "--m-max", "64", "--reps", "200"], "b0cf975addeca451")]
     # oracle and bakhvalov-check output, pinned when the mismatch oracle
@@ -308,6 +309,31 @@ def test_strong_error_quantization(capsys):
     assert [r[3] for r in rows[1:]] == ["2", "3", "4"]
     msq = [float(r[4]) for r in rows[1:]]
     assert msq[0] > msq[1] > msq[2] > 0
+
+
+def test_generator_streams_do_not_alias(capsys, monkeypatch):
+    # depths 2..16 meet step counts 16 and 32 and the levels of a classical
+    # run: every Philox key is formed once, and the sweep's once in all
+    import numpy as np
+    from rbmlmc.euler import gbm_strong_error_vs_exact
+    keys, philox = [], np.random.Philox
+
+    def recording(*args, key, **kw):
+        keys.append(tuple(int(k) for k in key))
+        return philox(*args, key=key, **kw)
+    monkeypatch.setattr(np.random, "Philox", recording)
+    for args in (["strong-error", "--mode", "both", "--m", "16", "--q-min",
+                  "2", "--q-max", "16", "--m-min", "16", "--m-max", "32",
+                  "--reps", "2", "--seed", "3"],
+                 ["run", "--variant", "classical", "--eps", "0.125",
+                  "--seeds", "3"]):
+        assert run_cli(args + ["--out", "-"], capsys)[0] == 0
+    assert len(keys) == len(set(keys)) > 3
+    assert keys.count((3, 2 ** 64 - 1)) == 1
+    # a discretization row at m >= 2^59 fails before it forms its key
+    with pytest.raises(ValueError):
+        gbm_strong_error_vs_exact(sde.preset("gbm"), 2 ** 64 - 1, 1, 3)
+    assert keys.count((3, 2 ** 64 - 1)) == 1
 
 
 def test_strong_error_discretization_gbm_only(capsys):

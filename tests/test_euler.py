@@ -492,17 +492,15 @@ def test_scan_zero_sign_and_nonfinite_differences():
     assert np.all(np.isinf(got[0, 1:])) and np.all(np.isnan(dense[0, 1:]))
 
 
-# Frozen copy of the strong-error quantization kernel as it was before it
-# ran in blocks of replications: every array at once, one mean.
-def _one_batch_sup_sq(p, m, q, reps, seed):
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, q], dtype=np.uint64)))
+# Frozen copy of the strong-error quantization sweep in one batch: every
+# depth maps the same normals, every array at once, one mean per depth.
+def _one_batch_sup_sq(p, m, qs, reps, seed):
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 2 ** 64 - 1], dtype=np.uint64)))
     y = rng.standard_normal((reps, m, p.d))
-    v_c = y / math.sqrt(m)
-    v_bit = quantized_increments_from_normals(y, m, q)
-    a = euler_paths_batch(p, v_c)
-    b = euler_paths_batch(p, v_bit)
-    return float(np.mean(sup_distance_batch(a, b) ** 2))
+    a = euler_paths_batch(p, y / math.sqrt(m))
+    return [float(np.mean(sup_distance_batch(a, euler_paths_batch(
+        p, quantized_increments_from_normals(y, m, q))) ** 2)) for q in qs]
 
 
 @pytest.mark.parametrize("name, m, reps", [
@@ -516,21 +514,34 @@ def test_strong_quantization_blocks_equal_one_batch(name, m, reps):
     # m = 2048, d = 2; 1310 at m = 100, d = 2
     assert _STRONG_NORMALS == 1 << 18
     p = preset(name)
-    for q in (2, 5):
-        got = bit_vs_classical_sup_sq(p, m, q, reps, seed=9)
-        assert got == _one_batch_sup_sq(p, m, q, reps, seed=9)
+    got = bit_vs_classical_sup_sq(p, m, (2, 5), reps, seed=9)
+    assert got == _one_batch_sup_sq(p, m, (2, 5), reps, seed=9)
+
+
+def test_strong_quantization_rows_independent_of_the_range():
+    # the normals are drawn once for all depths, so row q of a sweep is the
+    # one-depth sweep [q], bit for bit
+    p = preset("gbm")
+    sweep = bit_vs_classical_sup_sq(p, 64, range(2, 10), 300, seed=4)
+    assert len(sweep) == 8
+    for q, msd in zip(range(2, 10), sweep):
+        [alone] = bit_vs_classical_sup_sq(p, 64, [q], 300, seed=4)
+        assert _same_bits(msd, alone)
 
 
 def test_strong_quantization_memory_bounded_in_reps():
     # At reps=16384, m=256 every (reps, m) array is 32 MiB; the blocks keep
-    # the peak near a few 2 MiB arrays (13.2 MiB). The warm-up call loads
-    # scipy.special and builds the q = 4 cell table outside the trace.
-    bit_vs_classical_sup_sq(preset("gbm"), 256, 4, 1, 0)
+    # the peak near a few 2 MiB arrays (13.8 MiB for eight depths). The
+    # warm-up call loads scipy.special and builds the cell tables outside
+    # the trace.
+    qs = range(2, 10)
+    bit_vs_classical_sup_sq(preset("gbm"), 256, qs, 1, 0)
     tracemalloc.start()
     try:
-        msd = bit_vs_classical_sup_sq(preset("gbm"), 256, 4, 16384, 0)
+        msd = bit_vs_classical_sup_sq(preset("gbm"), 256, qs, 16384, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < msd < 1e-2
+    assert min(msd) > 0
+    assert msd[2] < 1e-2  # the q = 4 row
     assert peak < 16 * 2 ** 20

@@ -301,10 +301,14 @@ def test_quantize_normal_rejects_nan():
                 quantize_normal(y, q)
 
 
-def test_one_int16_cell_table_stays_resident():
-    quantize_normal(np.zeros(4), 3)
-    quantize_normal(np.zeros(4), 5)
+def test_int16_cell_table_built_once_per_depth():
+    # a strong-error sweep alternates depths, so every depth's table stays;
+    # deeper than the cap none is built, so at most 1.6 MB are kept
+    qnormal._cell_table.cache_clear()
+    for q in (3, 5, 3, 5, _MAX_TABLE_Q + 1):
+        quantize_normal(np.zeros(4), q)
     info = qnormal._cell_table.cache_info()
-    assert info.maxsize == 1 and info.currsize == 1
+    assert info.currsize == info.misses == 2
     table = qnormal._cell_table(5)
     assert table.dtype == np.int16 and not table.flags.writeable
+    assert _MAX_TABLE_Q * table.nbytes < 1.7e6
