@@ -6,9 +6,9 @@ base-r digit j of i (digit 0 least significant) and has numerator
 (sum of the picks + S - 1) mod 2^q. For midpoints G = (g + 1/2) 2^-q that is
 sum_j G_j + (S - 1) 2^-(q+1) mod 1, again a midpoint: no float arithmetic.
 
-* quadratic trick: 2n generators, S = 2 slots of r = n (constant +1), the
-  right factor the minor digit: out[(j1-1)n + j2] = G[j1] + G[n + j2] +
-  2^-(q+1) mod 1, n^2 outputs;
+* quadratic trick: 2n generators in two rows, S = 2 slots of r = n
+  (constant +1), row 1 the minor digit: out[(j1-1)n + j2] = G[j1] +
+  G[n + j2] + 2^-(q+1) mod 1, n^2 outputs;
 * logarithmic variant: 2n generators G[i][j], S = n slots of r = 2
   (constant n - 1), 2^n outputs; bit j of the index picks row i of slot j.
 
@@ -45,12 +45,12 @@ def _slot_sums(slots: np.ndarray, q: int, count: int | None) -> np.ndarray:
     return out[..., :count, :] & ((1 << q) - 1)
 
 
-def quadratic_outputs(g_left: np.ndarray, g_right: np.ndarray, q: int,
+def quadratic_outputs(g: np.ndarray, q: int,
                       count: int | None = None) -> np.ndarray:
-    """Combine generator numerators (..., n, d) x (..., n, d) -> (..., n^2, d),
-    index (j1-1)*n + j2 running over j1 major, j2 minor; count keeps the
-    first count outputs."""
-    return _slot_sums(np.stack([g_right, g_left]), q, count)
+    """Combine generator numerators (..., 2, n, d) -> (..., n^2, d), row 0
+    the left factor; index (j1-1)*n + j2 runs over j1 major, j2 minor;
+    count keeps the first count outputs."""
+    return _slot_sums(np.moveaxis(g, -3, 0)[::-1], q, count)
 
 
 def logarithmic_outputs(g: np.ndarray, q: int,
@@ -64,16 +64,15 @@ def logarithmic_outputs(g: np.ndarray, q: int,
 def _all_outputs(n: int, q: int, variant: str) -> np.ndarray:
     """Outputs (R, count) over every generator realization, d = 1.
 
-    Realization r draws its 2n generators from the bit string r, in the
-    order a BitSource draws them: the first n (the quadratic left factor,
-    the logarithmic row 0), then the next n.
+    Realization r draws its generator rows 0 (the quadratic left factor)
+    and 1 from the bit string r, in the order a BitSource draws them.
     """
     if variant not in ("quadratic", "logarithmic"):
         raise ValueError(f"unknown variant {variant!r}")
-    g = enumerate_numerators(2 * n, q)[:, :, None]
+    g = enumerate_numerators(2 * n, q).reshape(-1, 2, n, 1)
     if variant == "quadratic":
-        return quadratic_outputs(g[:, :n], g[:, n:], q)[:, :, 0]
-    return logarithmic_outputs(g.reshape(-1, 2, n, 1), q)[:, :, 0]
+        return quadratic_outputs(g, q)[:, :, 0]
+    return logarithmic_outputs(g, q)[:, :, 0]
 
 
 @dataclass(frozen=True)

@@ -239,8 +239,8 @@ def cmd_cost_report(args) -> int:
                  bits[2] / (eps ** -2 * le ** 2 * math.log2(le)))
         ratios.append(ratio)
         rows.append([repr(eps), pb.L, pb.q, *bits,
-                     mlmc.info_cost_formula(pc), mlmc.work_model(pc),
-                     mlmc.work_model(pb), mlmc.work_model(pq),
+                     mlmc.info_cost_formula(pc),
+                     *(mlmc.work_model(p, args.d) for p in (pc, pb, pq)),
                      repr(ratio[0]), repr(ratio[1])])
     for name, r in zip(("band_bbit", "band_bbit_log"), zip(*ratios)):
         rows.append([name, repr(max(r) / min(r))] + [""] * 10)

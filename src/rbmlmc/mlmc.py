@@ -4,25 +4,25 @@ Four variants of the telescoping estimator
 
     A(f) = mean_i f(X_{1,i}) + sum_{l=1..L} mean_i [f(X_{2^l,i}) - f(X~_{2^{l-1},i})]
 
-differing only in how the level-l increment batches are produced:
+differ in one decision only, how a level draws its N_l replications, and
+VARIANTS holds that decision as one row per variant:
 
 * classical: i.i.d. Brownian increments, one RNG call counted per normal;
-* bit:       quantized normals at depth q, d*q bits per increment,
-             replications independent;
-* bbit:      per time index one quadratic pairwise-independent family built
-             from 2*ceil(sqrt(N_l)) generator draws, replications pairwise
-             independent at a reduced bit budget;
-* bbit_log:  same with the logarithmic family from 2*ceil(log2 N_l)
-             generators.
+* bit:       N_l independent q-bit quantized normals per increment;
+* bbit:      2 x ceil(sqrt(N_l)) q-bit generators per increment, which the
+             quadratic family combines into pairwise independent ones;
+* bbit_log:  2 x ceil(log2 N_l) generators, the logarithmic family; one
+             generator, its own output, at N_l == 1.
 
 Parameter schedules for a target accuracy eps in (0, 1/2):
 L = ceil(log2(eps^-2) + log2(log2(eps^-2))), N_l = ceil((L+1) 2^-l max(l,1)
 eps^-2), q = L; N_l is exact through Fraction.
-The closed-form bit, coin, information-cost and work counts of a schedule
-close the module; cost-report tabulates them.
+The closed-form bit, coin and information-cost counts of a schedule close
+the module; work_model is their sum, and cost-report tabulates them.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +39,26 @@ from .ledger import CostLedger
 from .qnormal import MAX_DEPTH, normal_quantile, quantized_normals
 from .sde import SDEProblem
 
-VARIANTS = ("classical", "bit", "bbit", "bbit_log")
+
+@dataclass(frozen=True)
+class Variant:
+    """How a level draws N replications: normals, or per time index and
+    component q-bit numerators of shape block(N), which combine(g, q, N)
+    turns into N outputs; combine None: each numerator is a replication."""
+    normals: bool
+    block: Callable
+    combine: Callable | None = None
+
+
+# a combine looks its family up at call time: benchmark tracers patch it
+VARIANTS = {
+    "classical": Variant(True, lambda N: (N,)),
+    "bit": Variant(False, lambda N: (N,)),
+    "bbit": Variant(False, lambda N: (2, math.isqrt(N - 1) + 1),
+                    lambda *a: quadratic_outputs(*a)),
+    "bbit_log": Variant(False, lambda N: (2, (N - 1).bit_length()) if N > 1
+                        else (1, 1), lambda *a: logarithmic_outputs(*a)),
+}
 
 
 @dataclass(frozen=True)
@@ -57,19 +76,24 @@ class MLMCParams:
             raise ValueError("N must list one replication count per level")
         if any(x < 1 for x in self.N):
             raise ValueError("replication counts must be >= 1")
-        if self.variant != "classical" and (self.q is None or self.q < 1):
+        if not self.row.normals and (self.q is None or self.q < 1):
             raise ValueError("bit-based variants require q >= 1")
 
     @property
+    def row(self) -> Variant:
+        return VARIANTS[self.variant]
+
+    @property
     def n(self) -> tuple:
-        """bbit draws 2 n_l generators, n_l the least with n_l^2 >= N_l."""
-        return tuple(math.isqrt(Nl - 1) + 1 for Nl in self.N)
+        """n_l, the least with n_l^2 >= N_l: the bbit block is (2, n_l)."""
+        return tuple(VARIANTS["bbit"].block(Nl)[1] for Nl in self.N)
 
     @property
     def nhat(self) -> tuple:
-        """bbit_log draws 2 nhat_l generators, nhat_l the least with
-        2^nhat_l >= N_l, as a float; 0.5 encodes N_l == 1, one generator."""
-        return tuple(float((Nl - 1).bit_length()) or 0.5 for Nl in self.N)
+        """nhat_l, the least with 2^nhat_l >= N_l, as a float: half the
+        bbit_log row's generators, so 0.5 at N_l == 1, one generator."""
+        return tuple(math.prod(VARIANTS["bbit_log"].block(Nl)) / 2
+                     for Nl in self.N)
 
 
 def params_for_eps(epsilon: float, variant: str) -> MLMCParams:
@@ -85,7 +109,8 @@ def params_for_eps(epsilon: float, variant: str) -> MLMCParams:
     N = tuple(
         -(-((L + 1) * max(l, 1) * x.numerator) // (x.denominator << l))
         for l in range(L + 1))
-    return MLMCParams(variant, L, N, q=None if variant == "classical" else L)
+    row = VARIANTS.get(variant)  # MLMCParams rejects an unknown name
+    return MLMCParams(variant, L, N, q=None if row and row.normals else L)
 
 
 @dataclass(frozen=True)
@@ -104,11 +129,12 @@ class MLMCReport:
 
 def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
                       seed: int, ledger: CostLedger) -> np.ndarray:
-    """Increment batch of shape (N_l, 2^level, d) for the given variant."""
+    """Increment batch (N_l, 2^level, d), drawn as the variant's row says."""
     m = 1 << level
     N = params.N[level]
     d = p.d
-    if params.variant == "classical":
+    row = params.row
+    if row.normals:
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, level], dtype=np.uint64)))
         v = classical_increments(rng, m, d, n=N)
@@ -116,21 +142,15 @@ def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
         return v
     src = BitSource(seed, stream_id=level)
     q = params.q
-    if params.variant == "bit":
+    if row.combine is None:
         v = bit_increments(src, m, q, d, n=N)
     else:
-        bbit = params.variant == "bbit"
-        if not bbit and N == 1:  # bbit_log's one generator is the output
-            nums = src.draw_dyadic_numerators(q, (1, m, d))
-        else:
-            # Both families draw two rows of k generators per time index,
-            # time first; folding time into the coordinate axis combines
-            # every time index in one call.
-            k = params.n[level] if bbit else int(params.nhat[level])
-            g = src.draw_dyadic_numerators(q, (m, 2, k, d))
-            g = np.moveaxis(g, 0, 2).reshape(2, k, m * d)
-            nums = (quadratic_outputs(g[0], g[1], q, N) if bbit
-                    else logarithmic_outputs(g, q, N)).reshape(N, m, d)
+        # blocks are drawn time first; folding time into the coordinate
+        # axis combines every time index in one call
+        block = row.block(N)
+        g = src.draw_dyadic_numerators(q, (m, *block, d))
+        g = np.moveaxis(g, 0, -2).reshape(*block, m * d)
+        nums = row.combine(g, q, N).reshape(N, m, d)
         v = quantized_normals(nums, q) / math.sqrt(m)
     ledger.bit_count += src.bits_consumed
     return v
@@ -180,51 +200,32 @@ def run(p: SDEProblem, f: Functional, params: MLMCParams,
 # ---------------------------------------------------------------------------
 # Closed-form resource schedules (no simulation involved).
 
+def _draws(params: MLMCParams, d: int) -> int:
+    """Normals or numerators drawn: sum_l prod(block(N_l)) m_l d."""
+    return d * sum(math.prod(params.row.block(N)) << l
+                   for l, N in enumerate(params.N))
+
+
 def bit_count_formula(params: MLMCParams, d: int = 1) -> int:
-    """Exact random-bit budget of a schedule, by variant."""
-    if params.variant == "classical":
-        return 0
-    q = params.q
-    if params.variant == "bit":
-        return sum(N * (1 << l) * d * q for l, N in enumerate(params.N))
-    if params.variant == "bbit":
-        return sum(2 * n * (1 << l) * q * d for l, n in enumerate(params.n))
-    # 2*nhat is 1 for the single-replication edge case, an even int otherwise
-    return d * sum((1 << l) * q * int(round(2 * nh))
-                   for l, nh in enumerate(params.nhat))
+    """Exact random-bit budget: q bits per drawn numerator."""
+    return 0 if params.row.normals else params.q * _draws(params, d)
 
 
 def coin_count_formula(params: MLMCParams, d: int = 1) -> int:
-    """Normal draws of the classical schedule."""
-    if params.variant != "classical":
-        return 0
-    return sum(N * (1 << l) * d for l, N in enumerate(params.N))
+    """Normal draws of a schedule whose row draws normals."""
+    return _draws(params, d) if params.row.normals else 0
 
 
 def info_cost_formula(params: MLMCParams) -> int:
-    """Functional-evaluation charge: fine m+1 per replication, coarse m/2+1."""
-    total = 0
-    for l, N in enumerate(params.N):
-        m = 1 << l
-        total += N * (m + 1)
-        if l > 0:
-            total += N * (m // 2 + 1)
-    return total
+    """Functional-evaluation charge: fine m+1 per replication, coarse m/2+1,
+    as level_values charges it."""
+    return sum(N * ((1 << l) + 1 + ((1 << l) // 2 + 1 if l else 0))
+               for l, N in enumerate(params.N))
 
 
-def work_model(params: MLMCParams) -> int:
-    """Order-of-cost surrogate from the analysis, by variant, with base =
-    sum_l N_l m_l: classical is base; bit is q * base, with no base term;
-    bbit is base + q sum_l n_l m_l, which counts half of its 2 n_l
-    generators; bbit_log is base + q sum_l 2 nhat_l m_l, which counts all
-    of them."""
-    base = sum(N * (1 << l) for l, N in enumerate(params.N))
-    if params.variant == "classical":
-        return base
-    q = params.q
-    if params.variant == "bit":
-        return q * base
-    if params.variant == "bbit":
-        return base + sum(n * (1 << l) * q for l, n in enumerate(params.n))
-    return base + sum(int(round(2 * nh)) * (1 << l) * q
-                      for l, nh in enumerate(params.nhat))
+def work_model(params: MLMCParams, d: int = 1) -> int:
+    """Cost of a schedule in ledger units, one rule for every variant: the
+    analysis's information cost plus its random bits or normal draws at
+    unit cost each, the sum of the counters a run at dimension d measures."""
+    return (info_cost_formula(params) + bit_count_formula(params, d)
+            + coin_count_formula(params, d))

@@ -18,13 +18,13 @@ def test_quadratic_output_count_and_q1_hand_check():
     # q=1 numerators in {0,1}; out = (a + b + 1) mod 2
     g_left = np.array([[0], [1]])
     g_right = np.array([[1], [1]])
-    out = quadratic_outputs(g_left, g_right, 1)
+    out = quadratic_outputs(np.stack([g_left, g_right]), 1)
     assert out.shape == (4, 1)
     assert out.ravel().tolist() == [0, 0, 1, 1]
 
 
 def test_quadratic_q3_wraps_mod_8():
-    out = quadratic_outputs(np.array([[7]]), np.array([[3]]), 3)
+    out = quadratic_outputs(np.array([[[7]], [[3]]]), 3)
     assert out.ravel().tolist() == [(7 + 3 + 1) % 8]
 
 
@@ -41,7 +41,7 @@ def test_logarithmic_outputs_n2_q2():
 def test_family_shapes_and_midpoint_values():
     # 2n = 6 generators per component give n^2 = 9 quadratic outputs
     g = BitSource(7, 0).draw_dyadic_numerators(2, (6, 2))
-    out = quadratic_outputs(g[:3], g[3:], 2)
+    out = quadratic_outputs(g.reshape(2, 3, 2), 2)
     assert out.shape == (9, 2)
     assert out.min() >= 0 and out.max() < 4  # numerators of depth-2 midpoints
     g = BitSource(7, 1).draw_dyadic_numerators(2, (2, 3, 1))
@@ -54,7 +54,7 @@ def test_family_consumes_exact_bits():
     # a family costs its 2n generator draws and nothing else
     src = BitSource(11, 4)
     g = src.draw_dyadic_numerators(3, (2 * 2, 2))
-    quadratic_outputs(g[:2], g[2:], 3)
+    quadratic_outputs(g.reshape(2, 2, 2), 3)
     assert src.bits_consumed == 2 * 2 * 3 * 2
     src2 = BitSource(11, 5)
     logarithmic_outputs(src2.draw_dyadic_numerators(2, (2, 4, 1)), 2)
@@ -85,7 +85,7 @@ def test_failures_list_marginals_then_pairs(monkeypatch):
 
 def test_marginal_uniformity_sampled():
     g = BitSource(3, 0).draw_dyadic_numerators(2, (4, 1))
-    out = quadratic_outputs(g[:2], g[2:], 2)
+    out = quadratic_outputs(g.reshape(2, 2, 1), 2)
     assert set(np.unique(out)) <= {0, 1, 2, 3}
 
 
@@ -133,15 +133,16 @@ def test_combiners_take_a_leading_axis():
     rng = np.random.default_rng(0)
     left, right = rng.integers(0, 8, size=(2, 5, 4, 2))
     assert np.array_equal(
-        quadratic_outputs(left, right, 3),
-        np.stack([quadratic_outputs(a, b, 3) for a, b in zip(left, right)]))
+        quadratic_outputs(np.stack([left, right], axis=-3), 3),
+        np.stack([quadratic_outputs(np.stack([a, b]), 3)
+                  for a, b in zip(left, right)]))
     g = rng.integers(0, 8, size=(5, 2, 3, 2))
     assert np.array_equal(logarithmic_outputs(g, 3),
                           np.stack([logarithmic_outputs(x, 3) for x in g]))
     # the exact checks enumerate exactly these per-realization outputs
     for n, q in ((2, 1), (3, 1)):
         gens = enumerate_numerators(2 * n, q)[:, :, None]
-        quad = np.stack([quadratic_outputs(x[:n], x[n:], q)[:, 0]
+        quad = np.stack([quadratic_outputs(x.reshape(2, n, 1), q)[:, 0]
                          for x in gens])
         assert np.array_equal(_all_outputs(n, q, "quadratic"), quad)
         log = np.stack([logarithmic_outputs(x.reshape(2, n, 1), q)[:, 0]
@@ -188,9 +189,10 @@ def test_combiners_bitwise_equal_frozen_copies(q, d, lead):
             continue
         left, right = rng.integers(0, 1 << q, size=(2,) + lead + (n, d))
         ref = _frozen_quadratic(left, right, q)
-        _assert_same(quadratic_outputs(left, right, q), ref)
+        block = np.stack([left, right], axis=-3)
+        _assert_same(quadratic_outputs(block, q), ref)
         for count in range(1, n * n + 1):
-            _assert_same(quadratic_outputs(left, right, q, count),
+            _assert_same(quadratic_outputs(block, q, count),
                          ref[..., :count, :])
 
 
@@ -201,7 +203,7 @@ def test_count_range_and_slotless_family():
             logarithmic_outputs(g, 2, count)
     for count in (-1, 0, 10):
         with pytest.raises(ValueError):
-            quadratic_outputs(g[0], g[1], 2, count)
+            quadratic_outputs(g, 2, count)
     # no slot: one output, the constant n - 1 = -1 mod 2^q
     out = logarithmic_outputs(np.zeros((4, 2, 0, 3), dtype=np.int64), 5)
     _assert_same(out, np.full((4, 1, 3), 31))

@@ -287,13 +287,14 @@ def test_run_csv_matches_baseline_hashes(capsys):
 
 
 def test_cost_report_matches_baseline_hashes(capsys):
-    # sha256 prefixes of cost-report as computed before schedules derived
-    # their generator counts from N: any change to a count shows here
+    # sha256 prefixes of cost-report since work_model became info cost +
+    # bits + coins at --d; the bits, ratio and band cells are unchanged
+    # since schedules derived their generator counts from N
     grid = ",".join(f"2^-{k}" for k in range(2, 11))
     for args, prefix in (
-            (["--eps-grid", grid, "--d", "1"], "24f302d95b6aae09"),
-            (["--eps-grid", grid, "--d", "2"], "6d82329f61eeab98"),
-            (["--eps-grid", "0.3,0.2,0.1,0.05,0.01"], "33bd1bc58237080d")):
+            (["--eps-grid", grid, "--d", "1"], "d20846a87fe5dfce"),
+            (["--eps-grid", grid, "--d", "2"], "51439de87d175217"),
+            (["--eps-grid", "0.3,0.2,0.1,0.05,0.01"], "8841ffb2d36a0799")):
         code, out, _ = run_cli(["cost-report"] + args + ["--out", "-"],
                                capsys)
         assert code == 0

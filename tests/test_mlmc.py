@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from rbmlmc.bakhvalov import logarithmic_outputs, quadratic_outputs
 from rbmlmc.bitsource import BitSource
+from rbmlmc import mlmc
 from rbmlmc.cli import build_parser
 from rbmlmc.functionals import make_constant, preset_functional
 from rbmlmc.ledger import CostLedger
@@ -85,6 +87,39 @@ def test_info_cost_formula_matches_run():
     rep = run(make_gbm(), preset_functional("terminal"), params, seed=5)
     assert rep.ledger.info_cost == info_cost_formula(params)
     assert rep.ledger.bit_count == bit_count_formula(params, d=1)
+
+
+def _ledger_and_formulas(p, params, seed):
+    """A run's ledger and the formulas' counts at the problem's d."""
+    rep = run(p, preset_functional("terminal"), params, seed=seed)
+    want = {"bit_count": bit_count_formula(params, p.d),
+            "coin_count": coin_count_formula(params, p.d),
+            "info_cost": info_cost_formula(params)}
+    return rep, {k: getattr(rep.ledger, k) for k in want}, want
+
+
+@pytest.mark.parametrize("sde_name", ["gbm", "linear2d"])
+@pytest.mark.parametrize("variant", list(mlmc.VARIANTS))
+def test_every_row_ledger_equals_formulas(variant, sde_name):
+    # N_1 = 1: the single-replication level goes through the same row
+    q = None if mlmc.VARIANTS[variant].normals else 5
+    params = MLMCParams(variant=variant, L=2, N=(5, 1, 3), q=q)
+    p = preset(sde_name)
+    _, got, want = _ledger_and_formulas(p, params, 4)
+    assert got == want
+    assert work_model(params, p.d) == sum(got.values())
+
+
+def test_a_new_variant_is_one_row(monkeypatch):
+    monkeypatch.setitem(mlmc.VARIANTS, "bbit_copy", mlmc.VARIANTS["bbit"])
+    p = preset("linear2d")
+    params = params_for_eps(EPS, "bbit")
+    copy = params_for_eps(EPS, "bbit_copy")
+    assert copy == dataclasses.replace(params, variant="bbit_copy")
+    a = run(p, preset_functional("terminal"), params, seed=6)
+    b, got, want = _ledger_and_formulas(p, copy, 6)
+    assert b.estimate == a.estimate and b.levels == a.levels
+    assert b.ledger == a.ledger and got == want
 
 
 def test_work_model_ordering():
@@ -183,7 +218,7 @@ def _per_step_increments(p, params, level, seed):
     if params.variant == "bbit":
         n = params.n[level]
         g = src.draw_dyadic_numerators(q, (m, 2 * n, d))
-        nums = np.stack([quadratic_outputs(g[k, :n], g[k, n:], q)[:N]
+        nums = np.stack([quadratic_outputs(g[k].reshape(2, n, d), q)[:N]
                          for k in range(m)], axis=1)
     elif N == 1:
         nums = src.draw_dyadic_numerators(q, (1, m, d))
