@@ -61,18 +61,25 @@ def logarithmic_outputs(g: np.ndarray, q: int,
     return _slot_sums(np.moveaxis(g, -2, 0), q, count)
 
 
+FAMILIES = {"quadratic": quadratic_outputs,
+            "logarithmic": logarithmic_outputs}
+
+
+def _family(variant: str):
+    if variant not in FAMILIES:
+        raise ValueError(f"unknown variant {variant!r}")
+    return FAMILIES[variant]
+
+
 def _all_outputs(n: int, q: int, variant: str) -> np.ndarray:
     """Outputs (R, count) over every generator realization, d = 1.
 
     Realization r draws its generator rows 0 (the quadratic left factor)
     and 1 from the bit string r, in the order a BitSource draws them.
     """
-    if variant not in ("quadratic", "logarithmic"):
-        raise ValueError(f"unknown variant {variant!r}")
+    combine = _family(variant)
     g = enumerate_numerators(2 * n, q).reshape(-1, 2, n, 1)
-    if variant == "quadratic":
-        return quadratic_outputs(g, q)[:, :, 0]
-    return logarithmic_outputs(g, q)[:, :, 0]
+    return combine(g, q)[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,7 @@ def exact_pairwise_check(n: int, q: int, variant: str) -> PairwiseCheckReport:
     """
     bits = 2 * n * q
     if bits <= ENUMERATION_BIT_CAP:  # wider enumerations are refused anyway
-        count = n * n if variant == "quadratic" else 1 << n
+        count = len(_family(variant)(np.zeros((2, n, 1), np.int64), q))
         work = (count * (count + 1) // 2) << bits
         if work > 1 << ENUMERATION_BIT_CAP:
             raise FeasibilityError(

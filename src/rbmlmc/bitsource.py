@@ -1,9 +1,12 @@
 """Seeded, counted streams of fair random bits and dyadic uniforms.
 
-A BitSource is a counter-based generator keyed by (seed, stream_id): the
-64-bit block at index i is a pure function of (seed, stream_id, i), so the
-bit at any global position is reproducible independently of how draws are
-chunked, and distinct stream_ids give independent-looking substreams.
+Stream (seed, stream_id) reads numpy's Philox4x64-10 (Salmon et al., SC
+2011), whose raw stream NEP 19 keeps stable across releases: 64-bit block i
+is word i % 4 of the Philox keyed [seed, stream_id] at counter (i // 4, 0,
+0, 1), so the bit at any position is reproducible however draws are
+chunked. Bit streams sit where the counter's top word is 1. A Generator
+starts at counter 0 and would need 2^192 words to get there, so a normal
+stream keyed like a bit stream never meets it.
 
 Dyadic uniforms live on the grid of cell midpoints
 {sum_i b_i 2^-i + 2^-(q+1) : b_i in {0,1}}, i.e. (numerator + 1/2) / 2^q
@@ -22,36 +25,24 @@ from .errors import FeasibilityError
 
 ENUMERATION_BIT_CAP = 24
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(z):
-    """splitmix64 finalizer, in place on a uint64 array; returns z."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
 
 class BitSource:
     """Single-owner stream of ideal fair bits, counted per draw."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
+        self.seed, self.stream_id = int(seed), int(stream_id)
+        for name, value in (("seed", self.seed),
+                            ("stream_id", self.stream_id)):
+            if not 0 <= value < 1 << 64:  # a Philox key word, never masked
+                raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
         self.bits_consumed = 0
-        k = _mix64(np.array([self.seed, self.stream_id], dtype=np.uint64)
-                   + np.array([0, _GOLDEN], dtype=np.uint64))
-        k[:1] += _GOLDEN
-        self._key = _mix64(k[:1] ^ k[1:])[0]
 
     def _blocks(self, first: int, count: int) -> np.ndarray:
-        z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-        z *= _GOLDEN
-        z += self._key
-        return _mix64(z)
+        skip = first % 4
+        gen = np.random.Philox(
+            key=np.array([self.seed, self.stream_id], dtype=np.uint64),
+            counter=np.array([first // 4, 0, 0, 1], dtype=np.uint64))
+        return gen.random_raw(skip + count)[skip:]
 
     def draw_bits(self, n: int) -> np.ndarray:
         """Next n bits as a uint8 array; advances bits_consumed by n."""

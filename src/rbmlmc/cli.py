@@ -231,7 +231,8 @@ def cmd_cost_report(args) -> int:
         raise ValueError("need a grid of at least 5 epsilon values")
     rows, ratios = [], []
     for eps in eps_values:
-        pc, pb, pq, pl = (mlmc.params_for_eps(eps, v) for v in mlmc.VARIANTS)
+        pc, pb, pq, pl = (mlmc.params_for_eps(eps, v)
+                          for v in ("classical", "bit", "bbit", "bbit_log"))
         bits = [mlmc.bit_count_formula(p, args.d) for p in (pb, pq, pl)]
         # normalizers in base-2 logarithms, matching the dyadic schedules
         le = math.log2(1.0 / eps)
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bakhvalov-check",
                        help="exact pairwise-independence tables")
-    p.add_argument("--variant", choices=["quadratic", "logarithmic"])
+    p.add_argument("--variant", choices=list(bakhvalov.FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--triple", action="store_true",

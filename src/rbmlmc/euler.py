@@ -207,8 +207,8 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
     One mean per q is taken over all its sup distances, so each mean is
     independent of the block size and of the other depths in qs.
 
-    Y comes from Philox keyed [seed, 2^64 - 1], which no other stream has:
-    `run` classical keys [seed, level] with level < 64, and the
+    Y comes from Philox keyed [seed, 2^64 - 1], which no other Generator
+    has: `run` classical keys [seed, level] with level < 64, and the
     discretization rows key [seed, m] with m < 2^59 (a refined grid of
     16 m + 1 points must be indexable; gbm_strong_error_vs_exact builds it
     before its key).

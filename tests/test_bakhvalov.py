@@ -249,3 +249,12 @@ def test_trimmed_combine_memory(n, width, count):
         tracemalloc.stop()
     assert out.shape == (count, width)
     assert peak < 4 * out.nbytes
+
+
+def test_unknown_family_raises_before_any_work():
+    # n = 7 would be refused as infeasible for either family
+    for n in (2, 7):
+        with pytest.raises(ValueError, match="unknown variant 'cubic'"):
+            exact_pairwise_check(n, 1, "cubic")
+    with pytest.raises(ValueError, match="unknown variant"):
+        find_nonuniform_tuple(2, 1, "cubic", 3)

@@ -37,6 +37,42 @@ def test_streams_differ_in_first_64_bits():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed, stream", [
+    (-1, 0), (2 ** 64, 0), (5, 2 ** 64 + 7), (0, -1)])
+def test_key_words_outside_64_bits_raise(seed, stream):
+    # masking would alias: -1 would draw the bits of 2^64 - 1
+    bad = seed if not 0 <= seed < 2 ** 64 else stream
+    with pytest.raises(ValueError, match=rf"\[0, 2\^64\), got {bad}$"):
+        BitSource(seed, stream)
+
+
+def test_key_word_range_ends_are_accepted():
+    top = 2 ** 64 - 1
+    assert not np.array_equal(BitSource(top, 0).draw_bits(64),
+                              BitSource(0, top).draw_bits(64))
+
+
+@given(first=st.integers(0, 4095), count=st.integers(0, 64),
+       seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_blocks_are_positional_across_counter_words(first, count, seed,
+                                                    stream):
+    # a Philox counter yields 4 blocks: every offset within one must agree
+    src = BitSource(seed, stream)
+    blocks = src._blocks(first, count)
+    assert blocks.dtype == np.uint64 and blocks.shape == (count,)
+    assert np.array_equal(blocks, src._blocks(0, first + count)[first:])
+
+
+def test_block_is_philox_word_in_bit_counter_range():
+    # block 14 is word 2 of counter (3, 0, 0, 1), or word 14 from the start
+    # of the range; the literal shows a change of numpy's raw stream
+    gen = np.random.Philox(key=np.array([5, 7], dtype=np.uint64),
+                           counter=np.array([0, 0, 0, 1], dtype=np.uint64))
+    block = BitSource(5, 7)._blocks(14, 1)
+    assert block.tolist() == [gen.random_raw(15)[14]] == [0x11e006489213f88]
+
+
 def test_bit_mean_in_binomial_band():
     # 4 sigma band for n = 1e6 fair bits: 0.5 +- 4 * 0.5/1000
     mean = BitSource(20260826).draw_bits(10 ** 6).mean()
@@ -140,32 +176,21 @@ def test_numerators_straddling_words_and_depth_cap():
     assert src.bits_consumed == 60 + 4 * 63
 
 
-# Frozen copy of the source before the period-column cutter: the scalar
-# splitmix64 key derivation, the copying finalizer and the gather cutter that
-# reads each numerator from the two blocks it may straddle.
-_FROZEN_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _frozen_mix64(z):
-    z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+# Frozen copy of the gather cutter that preceded the period-column cutter:
+# it reads each numerator from the two blocks it may straddle. Its blocks
+# come from a direct Philox call at the bit streams' counter range.
+def _frozen_blocks(seed, stream_id, first, count):
+    gen = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64),
+                           counter=np.array([0, 0, 0, 1], dtype=np.uint64))
+    return gen.random_raw(first + count)[first:]
 
 
 def _frozen_numerators(seed, stream_id, position, q, shape):
-    g = _FROZEN_GOLDEN
-    with np.errstate(over="ignore"):
-        k = _frozen_mix64(np.uint64(seed))
-        key = _frozen_mix64((k + g) ^ _frozen_mix64(np.uint64(stream_id) + g))
     shape = (shape,) if np.isscalar(shape) else tuple(shape)
     total = int(np.prod(shape, dtype=np.int64)) if shape else 1
     first, off = divmod(position, 64)
     count = (off + total * q - 1) // 64 + 2
-    idx = np.arange(first, first + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        blk = _frozen_mix64(key + (idx + np.uint64(1)) * g)
+    blk = _frozen_blocks(seed, stream_id, first, count)
     s = np.arange(off, off + total * q, q, dtype=np.uint64)
     r = s & np.uint64(63)
     s >>= np.uint64(6)

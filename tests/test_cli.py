@@ -255,8 +255,8 @@ def test_run_csv_matches_baseline_hashes(capsys):
     # coarse sums and the sup distance over two components.
     expected = [(["run", "--variant", variant, "--eps", "0.0625", "--seeds",
                   "0,1,2"], prefix) for variant, prefix in (
-        ("classical", "bfa1311e81a86902"), ("bit", "df2966c85d28d333"),
-        ("bbit", "94d48fe63dc0f6df"), ("bbit-log", "21809a3ee4566d70"))]
+        ("classical", "bfa1311e81a86902"), ("bit", "f0809fe8c567b2a3"),
+        ("bbit", "6f0315b8458f898c"), ("bbit-log", "989626da7262ca64"))]
     expected += [
         (["run", "--variant", "classical", "--sde", "linear2d",
           "--functional", "distance_to_ref", "--eps", "0.0625", "--seeds",
@@ -272,13 +272,14 @@ def test_run_csv_matches_baseline_hashes(capsys):
         (["strong-error", "--mode", "discretization", "--m-min", "16",
           "--m-max", "64", "--reps", "200"], "b0cf975addeca451")]
     # oracle and bakhvalov-check output, pinned when the mismatch oracle
-    # and the grid moments left the package
+    # and the grid moments left the package; the oracle's Monte Carlo side
+    # repinned when bit streams moved to Philox
     expected += [
         (["oracle", "--sde", "gbm", "--functional", "running_max", "--kind",
           "level-difference", "--m", "4", "--q", "2", "--mc-reps", "1000"],
-         "1a9337c093202b68"),
+         "86a58074c245b356"),
         (["oracle", "--sde", "linear2d", "--functional", "distance_to_ref",
-          "--m", "1", "--q", "2", "--mc-reps", "1000"], "2796c0b9b897f1f2"),
+          "--m", "1", "--q", "2", "--mc-reps", "1000"], "43e172232ce83d81"),
         (["bakhvalov-check", "--triple"], "2ce4547638992439")]
     for args, prefix in expected:
         code, out, _ = run_cli(args + ["--out", "-"], capsys)
@@ -301,6 +302,16 @@ def test_cost_report_matches_baseline_hashes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix, args
 
 
+def test_cost_report_reads_rows_by_name(capsys, monkeypatch):
+    # a fifth variant row changes no column: the report names its rows
+    from rbmlmc import mlmc
+    args = ["cost-report", "--eps-grid", "2^-2,2^-3,2^-4,2^-5,2^-6",
+            "--out", "-"]
+    before = run_cli(args, capsys)
+    monkeypatch.setitem(mlmc.VARIANTS, "bbit_copy", mlmc.VARIANTS["bbit"])
+    assert run_cli(args, capsys) == before and before[0] == 0
+
+
 def test_strong_error_quantization(capsys):
     code, out, _ = run_cli(["strong-error", "--mode", "quantization",
                             "--m", "16", "--q-min", "2", "--q-max", "4",
@@ -314,27 +325,44 @@ def test_strong_error_quantization(capsys):
 
 def test_generator_streams_do_not_alias(capsys, monkeypatch):
     # depths 2..16 meet step counts 16 and 32 and the levels of a classical
-    # run: every Philox key is formed once, and the sweep's once in all
+    # run: every Generator's Philox key is formed once, and the sweep's once
+    # in all. A bit run at the same seed reuses the classical keys, but its
+    # streams sit where the counter's top word is 1, which a Generator
+    # starting at counter 0 would need 2^192 words to reach. The oracle's
+    # Monte Carlo side reads the same stream as the bit run's level 0.
     import numpy as np
     from rbmlmc.euler import gbm_strong_error_vs_exact
-    keys, philox = [], np.random.Philox
+    from rbmlmc.mlmc import params_for_eps
+    streams, philox = [], np.random.Philox
 
-    def recording(*args, key, **kw):
-        keys.append(tuple(int(k) for k in key))
-        return philox(*args, key=key, **kw)
+    def recording(*args, key, counter=None, **kw):
+        streams.append((tuple(int(k) for k in key), None if counter is None
+                        else tuple(int(c) for c in counter)))
+        return philox(*args, key=key, counter=counter, **kw)
     monkeypatch.setattr(np.random, "Philox", recording)
     for args in (["strong-error", "--mode", "both", "--m", "16", "--q-min",
                   "2", "--q-max", "16", "--m-min", "16", "--m-max", "32",
                   "--reps", "2", "--seed", "3"],
                  ["run", "--variant", "classical", "--eps", "0.125",
-                  "--seeds", "3"]):
+                  "--seeds", "3"],
+                 ["run", "--variant", "bit", "--eps", "0.125", "--seeds",
+                  "3"],
+                 ["oracle", "--m", "4", "--q", "2", "--mc-reps", "50",
+                  "--seed", "3"]):
         assert run_cli(args + ["--out", "-"], capsys)[0] == 0
-    assert len(keys) == len(set(keys)) > 3
-    assert keys.count((3, 2 ** 64 - 1)) == 1
+    gen = [k for k, c in streams if c is None]
+    bit = {k for k, c in streams if c is not None}
+    assert all(c[1:] == (0, 0, 1) for _, c in streams if c is not None)
+    assert len(gen) == len(set(gen)) > 3
+    assert gen.count((3, 2 ** 64 - 1)) == 1
+    levels = params_for_eps(0.125, "bit").L + 1
+    assert bit == {(3, level) for level in range(levels)}
+    assert len(bit & set(gen)) == levels  # equal keys, apart by counter
     # a discretization row at m >= 2^59 fails before it forms its key
+    formed = len(streams)
     with pytest.raises(ValueError):
         gbm_strong_error_vs_exact(sde.preset("gbm"), 2 ** 64 - 1, 1, 3)
-    assert keys.count((3, 2 ** 64 - 1)) == 1
+    assert len(streams) == formed
 
 
 def test_strong_error_discretization_gbm_only(capsys):
@@ -507,8 +535,8 @@ def test_commands_load_only_the_modules_they_use():
     r = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS],
                        capture_output=True, env=_child_env())
     assert r.returncode == 0, r.stderr.decode()
-    # the bit CSV (bytes, so its \r\n stays) as before the import moved
-    assert hashlib.sha256(r.stdout).hexdigest()[:16] == "02e4f8e8ce5fd2dd"
+    # the bit CSV (bytes, so its \r\n stays) since bits come from Philox
+    assert hashlib.sha256(r.stdout).hexdigest()[:16] == "29a7ef28d0916f5e"
 
 
 OUT_COMMANDS = [
