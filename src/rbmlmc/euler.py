@@ -15,7 +15,8 @@ import numpy as np
 from .bitsource import BitSource
 from .ledger import CostLedger
 # normal_quantile is unused here but stays bound: benchmark tracers patch it.
-from .qnormal import normal_quantile, quantize_normal, quantized_normals
+from .qnormal import (normal_cells, normal_quantile, quantize_normal,
+                      quantized_increments)
 from .sde import SDEProblem
 
 
@@ -156,7 +157,7 @@ def bit_increments(src: BitSource, m: int, q: int, d: int,
     if m < 1:
         raise ValueError("m must be >= 1")
     nums = src.draw_dyadic_numerators(q, (n, m, d))
-    return quantized_normals(nums, q) / math.sqrt(m)
+    return quantized_increments(nums, q, m)
 
 
 def coarse_from_fine(increments: np.ndarray) -> np.ndarray:
@@ -177,13 +178,15 @@ def coarse_from_fine(increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def quantized_increments_from_normals(normals: np.ndarray, m: int,
-                                      q: int) -> np.ndarray:
+def quantized_increments_from_normals(normals: np.ndarray, m: int, q: int,
+                                      cells=None) -> np.ndarray:
     """Common-randomness coupling: given the standard normals Y behind the
     classical increments V = m^{-1/2} Y, return m^{-1/2} Y^(q), the
     bit-scheme increments quantized to depth q from the same normals.
+    cells=(k, depth) are Y's cells at some depth >= q, as quantize_normal
+    takes them.
     """
-    v = quantize_normal(normals, q)
+    v = quantize_normal(normals, q, cells=cells)
     v /= math.sqrt(m)
     return v
 
@@ -202,10 +205,14 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
     mean per depth q of the sequence qs.
 
     Every depth shares the normals: replications run in blocks of about
-    _STRONG_NORMALS normals Y, drawn in order, and each block runs the
-    classical path once and, for each q, quantizes Y and runs the bit path.
-    One mean per q is taken over all its sup distances, so each mean is
-    independent of the block size and of the other depths in qs.
+    _STRONG_NORMALS normals Y, drawn in order. Each block runs the
+    classical path once and finds Y's cells once, at the deepest q of qs
+    (one pass of the bucket table when it is at most _MAX_TABLE_Q). Then,
+    for each q, it reads the atoms at the cells shifted down to depth q,
+    which are Y's depth-q cells exactly (see qnormal), and runs the bit
+    path. One mean per q is taken over all its sup distances, so each mean
+    is independent of the block size and of the other depths in qs and
+    their order.
 
     Y comes from Philox keyed [seed, 2^64 - 1], which no other Generator
     has: `run` classical keys [seed, level] with level < 64, and the
@@ -213,24 +220,28 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
     16 m + 1 points must be indexable; gbm_strong_error_vs_exact builds it
     before its key).
 
-    Y and V of a block live in one allocation, 4 MiB for full blocks. The
-    first block's, freed, lifts glibc's mmap threshold to its size and the
-    heap trim threshold to twice that, so the later blocks' 2 MiB arrays
-    come from the heap instead of fresh mappings faulted in page by page.
+    Y and V of a block live in one allocation, 4 MiB for full blocks, and
+    its cells in the narrowest integer type, 512 KiB through depth 15. The
+    first block's Y and V, freed, lift glibc's mmap threshold to their size
+    and the heap trim threshold to twice that, so the later blocks' 2 MiB
+    arrays come from the heap instead of fresh mappings faulted in page by
+    page.
     """
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, _SWEEP_STREAM], dtype=np.uint64)))
     sups = np.empty((len(qs), reps))
+    top = max(qs, default=1)
     size = min(reps, max(1, _STRONG_NORMALS // (m * p.d)))
     for i in range(0, reps, size):
         y, v = np.empty((2, min(size, reps - i), m, p.d))
         rng.standard_normal(out=y)
         np.divide(y, math.sqrt(m), out=v)
         classical = euler_paths_batch(p, v)
+        cells = normal_cells(y, top), top
         for row, q in zip(sups, qs):
             # unnamed, a depth's arrays are freed before the next quantizes
             row[i:i + size] = sup_distance_batch(classical, euler_paths_batch(
-                p, quantized_increments_from_normals(y, m, q)))
+                p, quantized_increments_from_normals(y, m, q, cells=cells)))
     return [float(np.mean(row ** 2)) for row in sups]
 
 

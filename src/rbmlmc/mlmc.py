@@ -36,7 +36,7 @@ from .euler import (bit_increments, classical_increments, coarse_from_fine,
 from .functionals import Functional
 from .ledger import CostLedger
 # normal_quantile is unused here but stays bound: benchmark tracers patch it.
-from .qnormal import MAX_DEPTH, normal_quantile, quantized_normals
+from .qnormal import MAX_DEPTH, normal_quantile, quantized_increments
 from .sde import SDEProblem
 
 
@@ -151,7 +151,7 @@ def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
         g = src.draw_dyadic_numerators(q, (m, *block, d))
         g = np.moveaxis(g, 0, -2).reshape(*block, m * d)
         nums = row.combine(g, q, N).reshape(N, m, d)
-        v = quantized_normals(nums, q) / math.sqrt(m)
+        v = quantized_increments(nums, q, m)
     ledger.bit_count += src.bits_consumed
     return v
 

@@ -10,21 +10,19 @@ variance of f at one path, and of one level's fine-minus-coarse difference
 under the coupling the estimator runs (mlmc.level_values).
 """
 
-import math
-
 import numpy as np
 
 from .bitsource import enumerate_numerators
 from .functionals import Functional
 from .mlmc import level_values
-from .qnormal import quantized_normals
+from .qnormal import quantized_increments
 from .sde import SDEProblem
 
 
 def enumerate_bit_increments(m: int, q: int, d: int) -> np.ndarray:
     """All increment arrays, shape (2^(m*d*q), m, d), each equally likely."""
     nums = enumerate_numerators(m * d, q)
-    return quantized_normals(nums, q).reshape(-1, m, d) / math.sqrt(m)
+    return quantized_increments(nums, q, m).reshape(-1, m, d)
 
 
 def exact_expectation_bit_euler(p: SDEProblem, f: Functional, m: int,

@@ -6,20 +6,28 @@ and pulling back through the quantile function. Its distribution is uniform
 over the 2^q atoms quantile((k + 1/2) / 2^q), k = 0..2^q-1, so q fair bits
 suffice to sample it.
 
+The cell k = floor(ndtr(y) 2^q) is the primitive: normal_cells finds it,
+and quantize_normal reads the atom there. Cells nest. Scaling by 2^q is
+exact in binary64, so floor(x 2^q') >> (q' - q) = floor(x 2^q) for q <= q',
+and the clamp to the top cell commutes with the shift: the depth-q cell is
+the depth-q' cell without its last q' - q bits. A strong-error sweep finds
+each normal's cell once, at its deepest depth, and shifts it for the others.
+
 The CDF and quantile are scipy's ndtr and ndtri: atoms are within a few ulps
 and odd bit for bit. For q <= 20 they are read from one cached, read-only
 table per depth, grid_atoms(q); deeper ones come from the quantile itself.
 
-quantize_normal finds the cell k = floor(ndtr(y) 2^q) of most y without
-ndtr when q <= _MAX_TABLE_Q. It buckets y on the grid of width 2^-12 over
-[-9, 9) and reads k from a table of cells per bucket. A bucket holds a cell
-only where both of its ends, pushed outwards by a margin of 1e-12 in ndtr,
-floor to that cell. The margin is far above ndtr's error and above the
-rounding of the bucket index, and floor is monotone, so every y in such a
-bucket has that cell. The y of other buckets, y outside [-9, 9) and every
-y at depths above the cap take ndtr, so each k is the one ndtr gives. Each
-depth's table is built once and kept (147 KB of int16, at most 1.6 MB for
-all _MAX_TABLE_Q of them), as a strong-error sweep alternates depths.
+normal_cells finds the cell of most y without ndtr when q <= _MAX_TABLE_Q.
+It buckets y on the grid of width 2^-12 over [-9, 9) and reads k from a
+table of cells per bucket. A bucket holds a cell only where both of its
+ends, pushed outwards by a margin of 1e-12 in ndtr, floor to that cell. The
+margin is far above ndtr's error and above the rounding of the bucket
+index, and floor is monotone, so every y in such a bucket has that cell.
+The y of other buckets, y outside [-9, 9) and every y at depths above the
+cap take ndtr, so each k is the one ndtr gives. Each depth's table is built
+once and kept (147 KB of int16, at most 1.6 MB for all _MAX_TABLE_Q of
+them). Cells are kept in the narrowest signed integer type of their depth,
+int16 through q = 15.
 
 scipy.special is imported inside the functions that call it, so only the
 commands that map normals pay for loading it.
@@ -42,7 +50,13 @@ def normal_quantile(u):
     return ndtri(arr)
 
 
-def _cells(y: np.ndarray, q: int) -> np.ndarray:
+def _check_depth(q: int) -> None:
+    if not 1 <= q <= MAX_DEPTH:
+        raise ValueError(f"quantization depth q = {q} is outside "
+                         f"1..{MAX_DEPTH}")
+
+
+def _ndtr_cells(y: np.ndarray, q: int) -> np.ndarray:
     """Cell index floor(ndtr(y) 2^q) of each y; ndtr(y) == 1.0 is clamped
     to the top cell."""
     from scipy.special import ndtr  # lazy, as ndtri in normal_quantile
@@ -50,40 +64,52 @@ def _cells(y: np.ndarray, q: int) -> np.ndarray:
     # cell boundaries (a boundary value goes to the upper cell).
     x = ndtr(y)
     x *= 1 << q
-    k = np.floor(x, out=x).astype(np.int64)
-    return np.minimum(k, (1 << q) - 1, out=k)
+    np.floor(x, out=x)
+    np.minimum(x, (1 << q) - 1, out=x)
+    return x.astype(np.int16 if q <= 15 else np.int32 if q <= 31
+                    else np.int64)
 
 
-def quantize_normal(y, q: int):
-    """Quantized normal: quantile(round(cdf(y))) on the 2^q-atom grid; a
-    NaN in y raises ValueError."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+def normal_cells(y, q: int) -> np.ndarray:
+    """The cell k = floor(ndtr(y) 2^q) of each y, ndtr(y) == 1.0 clamped to
+    the top cell: an array of y's shape in the narrowest signed integer type
+    of depth q. A NaN in y raises ValueError."""
+    _check_depth(q)
     y = np.asarray(y, dtype=float)
     # min propagates NaN; initial keeps an empty y valid
     if np.isnan(np.min(y, initial=0.0)):
-        raise ValueError("quantize_normal: y contains NaN")
+        raise ValueError("y contains NaN")
     flat = y.reshape(-1)
     if q > _MAX_TABLE_Q:
-        atoms = quantized_normals(_cells(flat, q), q)
+        return _ndtr_cells(flat, q).reshape(y.shape)
+    pos = flat * _BUCKETS_PER_UNIT
+    pos += _BUCKET_OFFSET
+    np.clip(pos, 0, _BUCKETS + 1, out=pos)
+    k = _cell_table(q).take(pos.astype(np.intp))
+    far = k < 0
+    if far.any():
+        k[far] = _ndtr_cells(flat[far], q)
+    return k.reshape(y.shape)
+
+
+def quantize_normal(y, q: int, cells=None):
+    """Quantized normal: quantile(round(cdf(y))) on the 2^q-atom grid, the
+    atoms at normal_cells(y, q). cells=(k, depth), y's cells
+    normal_cells(y, depth) at some depth >= q, skips finding them: the
+    depth-q cells are k >> (depth - q)."""
+    if cells is None:
+        k = normal_cells(y, q)
     else:
-        pos = flat * _BUCKETS_PER_UNIT
-        pos += _BUCKET_OFFSET
-        np.clip(pos, 0, _BUCKETS + 1, out=pos)
-        i = pos.astype(np.intp)
-        k = _cell_table(q).take(i)
-        far = k < 0
-        if far.any():
-            k[far] = _cells(flat[far], q)
-        # reuse i for the cells and pos for the atoms
-        i[...] = k
-        atoms = grid_atoms(q).take(i, out=pos)
+        k, depth = cells
+        if not 1 <= q <= depth:
+            raise ValueError(f"cells of depth {depth} cannot give depth {q}")
+        k = k >> (depth - q)
     # [()] gives a float for a 0-d y and the array itself otherwise
-    return atoms.reshape(y.shape)[()]
+    return quantized_normals(k, q)[()]
 
 
 _MAX_GRID_Q = 20
-# Above this depth quantize_normal skips the bucket table: with buckets
+# Above this depth normal_cells skips the bucket table: with buckets
 # 2^-12 wide, about 2^q 0.28 2^-12 of normals (3.5% at q = 9, 28% at
 # q = 12) fall in a bucket that straddles a cell boundary and take ndtr
 # after the lookup. Per normal of a 2^18 block (2 vCPU Xeon) the table
@@ -126,6 +152,14 @@ def quantized_normals(nums, q: int) -> np.ndarray:
     if q <= _MAX_GRID_Q:
         return grid_atoms(q)[nums]
     return normal_quantile((nums + 0.5) / 2.0 ** q)
+
+
+def quantized_increments(nums, q: int, m: int) -> np.ndarray:
+    """Increments m^{-1/2} Y^(q) over steps 1/m at numerators nums: the
+    atoms, divided by sqrt(m) in place."""
+    v = quantized_normals(nums, q)
+    v /= np.sqrt(m)
+    return v
 
 
 @functools.cache

@@ -519,19 +519,24 @@ def test_strong_quantization_blocks_equal_one_batch(name, m, reps):
 
 
 def test_strong_quantization_rows_independent_of_the_range():
-    # the normals are drawn once for all depths, so row q of a sweep is the
-    # one-depth sweep [q], bit for bit
-    p = preset("gbm")
-    sweep = bit_vs_classical_sup_sq(p, 64, range(2, 10), 300, seed=4)
-    assert len(sweep) == 8
-    for q, msd in zip(range(2, 10), sweep):
-        [alone] = bit_vs_classical_sup_sq(p, 64, [q], 300, seed=4)
-        assert _same_bits(msd, alone)
+    # the normals are drawn once for all depths and their cells found once,
+    # at the deepest q, so row q of a sweep is the one-depth sweep [q], bit
+    # for bit, for depths in any order and across the table cap (11) and
+    # the grid cap (20), also for d = 2
+    for name, m, qs, reps in [("gbm", 64, range(2, 10), 300),
+                              ("gbm", 16, [9, 2, 12, 21, 5], 60),
+                              ("linear2d", 16, [9, 2, 12, 21, 5], 60)]:
+        p = preset(name)
+        sweep = bit_vs_classical_sup_sq(p, m, qs, reps, seed=4)
+        assert len(sweep) == len(qs)
+        for q, msd in zip(qs, sweep):
+            [alone] = bit_vs_classical_sup_sq(p, m, [q], reps, seed=4)
+            assert _same_bits(msd, alone), (name, q)
 
 
 def test_strong_quantization_memory_bounded_in_reps():
     # At reps=16384, m=256 every (reps, m) array is 32 MiB; the blocks keep
-    # the peak near a few 2 MiB arrays (13.8 MiB for eight depths). The
+    # the peak near a few 2 MiB arrays (14.1 MiB for eight depths). The
     # warm-up call loads scipy.special and builds the cell tables outside
     # the trace.
     qs = range(2, 10)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,9 @@ from rbmlmc.euler import bit_increments
 from scipy.special import ndtr, ndtri
 
 from rbmlmc import qnormal
-from rbmlmc.qnormal import (_BUCKETS_PER_UNIT, _MAX_TABLE_Q, _TABLE_RANGE,
-                            grid_atoms, normal_quantile, quantize_normal,
+from rbmlmc.qnormal import (_BUCKETS_PER_UNIT, _MAX_GRID_Q, _MAX_TABLE_Q,
+                            _TABLE_RANGE, MAX_DEPTH, grid_atoms,
+                            normal_cells, normal_quantile, quantize_normal,
                             quantized_normals)
 
 # Reference CDF values frozen from a 30-digit mpmath computation.
@@ -292,6 +294,50 @@ def test_quantize_normal_random_samples_equal_frozen_copy():
     for q in (1, 5, _MAX_TABLE_Q, _MAX_TABLE_Q + 1, 16, 20, 21, 30):
         _assert_bitwise_frozen(y, q)
         _assert_bitwise_frozen(y.reshape(5, 50, 100), q)
+
+
+def test_depths_above_max_depth_raise():
+    # at q = 53, 8.0 quantized to 7.9916 and -8.0 to -8.0023; q = 60 warned
+    # of an invalid cast and q >= 64 raised OverflowError
+    for q in (MAX_DEPTH + 1, 60, 64, 100):
+        for f in (normal_cells, quantize_normal):
+            with pytest.raises(ValueError, match=f"q = {q} is outside"):
+                f(8.0, q)
+    assert quantize_normal(8.0, MAX_DEPTH) == -quantize_normal(-8.0, MAX_DEPTH)
+    with pytest.raises(ValueError, match="cells of depth 3"):
+        quantize_normal(0.5, 5, cells=(normal_cells(0.5, 3), 3))
+
+
+def test_cells_nest():
+    # normal_cells(y, q) is normal_cells(y, q2) without its last q2 - q
+    # bits, for depth pairs on both sides of the table cap (11) and of the
+    # grid cap (20). The inputs: every double within 300 ulps of each
+    # depth-13 boundary, which are every boundary at depths <= 13 and
+    # boundaries at every deeper one; at each deeper depth the same around
+    # its two outermost boundaries on each side and 256 random ones; and
+    # special values.
+    depths = [*range(1, 14), 20, _MAX_GRID_Q + 1, 30, MAX_DEPTH]
+    assert _MAX_TABLE_Q in depths and _MAX_GRID_Q in depths
+    rng = np.random.default_rng(24)
+    bounds = [np.arange(1, 1 << 13) / 2 ** 13]
+    for q in depths[13:]:
+        k = np.concatenate([[1, 2, (1 << q) - 2, (1 << q) - 1],
+                            rng.integers(1, 1 << q, 256)])
+        bounds.append(k / 2 ** q)
+    tiny = np.finfo(float).tiny
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324,
+                        -5e-324, tiny / 3, -tiny / 3, tiny, -tiny])
+    nines = np.array([9.0, -9.0])
+    centres = np.array_split(ndtri(np.concatenate(bounds)), 12)
+    inputs = (_ulp_neighbours(c, 300) for c in centres)
+    last = np.concatenate([special, nines, np.nextafter(nines, 0),
+                           np.nextafter(nines, 2 * nines)])
+    for chunk in itertools.chain(inputs, [last]):
+        cells = {q: normal_cells(chunk, q) for q in depths}
+        for q2 in depths:
+            for q in depths[:depths.index(q2) + 1]:
+                assert np.array_equal(cells[q2] >> (q2 - q), cells[q]), \
+                    (q, q2)
 
 
 def test_quantize_normal_rejects_nan():
