@@ -1,12 +1,20 @@
-"""Seeded, counted streams of fair random bits and dyadic uniforms.
+"""Seeded, counted streams of fair random bits and dyadic uniforms, and
+the one table of stream ids.
 
-Stream (seed, stream_id) reads numpy's Philox4x64-10 (Salmon et al., SC
-2011), whose raw stream NEP 19 keeps stable across releases: 64-bit block i
-is word i % 4 of the Philox keyed [seed, stream_id] at counter (i // 4, 0,
-0, 1), so the bit at any position is reproducible however draws are
-chunked. Bit streams sit where the counter's top word is 1. A Generator
-starts at counter 0 and would need 2^192 words to get there, so a normal
-stream keyed like a bit stream never meets it.
+Every stream reads numpy's Philox4x64-10 (Salmon et al., SC 2011), keyed
+[seed, stream_id], whose raw stream NEP 19 keeps stable across releases.
+Streams with distinct keys or counter ranges are independent. `generator`
+starts a normal stream at counter 0, and BitSource reads bit block i as
+word i % 4 at counter (i // 4, 0, 0, 1), which a Generator would need
+2^192 words to reach; any bit is reproducible however draws are chunked.
+
+    stream_id            kind    read by
+    l = 0..L (< 2^63)    normal  run --variant classical, level l
+    l = 0..L             bits    run, bit-based variants, level l; l = 0
+                                 also the oracle's --mc-reps side
+    2^63                 normal  sde.lipschitz_spot_check
+    TOP_STREAM - m       normal  strong-error discretization, m < 2^59
+    TOP_STREAM           normal  strong-error quantization, = 2^64 - 1
 
 Dyadic uniforms live on the grid of cell midpoints
 {sum_i b_i 2^-i + 2^-(q+1) : b_i in {0,1}}, i.e. (numerator + 1/2) / 2^q
@@ -24,17 +32,29 @@ import numpy as np
 from .errors import FeasibilityError
 
 ENUMERATION_BIT_CAP = 24
+TOP_STREAM = (1 << 64) - 1
+
+
+def key_word(name: str, value) -> int:
+    """value as a Philox key word, never masked: -1 would alias 2^64 - 1."""
+    value = int(value)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    return value
+
+
+def generator(seed: int, stream_id: int) -> "np.random.Generator":
+    """Normal stream (seed, stream_id) of the module docstring's table."""
+    key = [key_word("seed", seed), key_word("stream_id", stream_id)]
+    return np.random.Generator(np.random.Philox(key=np.array(key, np.uint64)))
 
 
 class BitSource:
     """Single-owner stream of ideal fair bits, counted per draw."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed, self.stream_id = int(seed), int(stream_id)
-        for name, value in (("seed", self.seed),
-                            ("stream_id", self.stream_id)):
-            if not 0 <= value < 1 << 64:  # a Philox key word, never masked
-                raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+        self.seed = key_word("seed", seed)
+        self.stream_id = key_word("stream_id", stream_id)
         self.bits_consumed = 0
 
     def _blocks(self, first: int, count: int) -> np.ndarray:

@@ -24,23 +24,14 @@ import time
 import numpy as np
 
 from . import bakhvalov, euler, functionals, mlmc, oracle, sde
-from .bitsource import BitSource
+from .bitsource import BitSource, key_word
 from .errors import FeasibilityError
 from .qnormal import MAX_DEPTH
 
 
-def _parse_seed(value) -> int:
-    """A seed in [0, 2^64): the generators are keyed by 64-bit words, so
-    any other integer would fail deep in a run or alias a valid seed."""
-    seed = int(value)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    return seed
-
-
 def _parse_seeds(text: str) -> list[int]:
     """Distinct seeds: a repeated one (also as 1,01) only repeats rows."""
-    seeds = [_parse_seed(s) for s in text.split(",") if s.strip() != ""]
+    seeds = [key_word("seed", s) for s in text.split(",") if s.strip() != ""]
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"repeated seed in --seeds {text!r}")
     return seeds
@@ -131,7 +122,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_strong_error(args) -> int:
-    seed = _parse_seed(args.seed)
+    seed = key_word("seed", args.seed)
     # --reps < 1 averages over nothing (a nan row), and a step count < 1
     # gives a path without Euler steps.
     for flag, value in (("--reps", args.reps), ("--m", args.m),
@@ -195,7 +186,7 @@ def cmd_bakhvalov_check(args) -> int:
 def cmd_oracle(args) -> int:
     problem = sde.preset(args.sde)
     f = _functional_for(args, problem)
-    seed = _parse_seed(args.seed)
+    seed = key_word("seed", args.seed)
     for flag, value in (("--m", args.m), ("--q", args.q)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")

@@ -12,7 +12,7 @@ from operator import add
 
 import numpy as np
 
-from .bitsource import BitSource
+from .bitsource import TOP_STREAM, BitSource, generator
 from .ledger import CostLedger
 # normal_quantile is unused here but stays bound: benchmark tracers patch it.
 from .qnormal import (normal_cells, normal_quantile, quantize_normal,
@@ -194,8 +194,6 @@ def quantized_increments_from_normals(normals: np.ndarray, m: int, q: int,
 # Normals per block of bit_vs_classical_sup_sq: a block's quantizer, scaling
 # and sup passes work on 2 MiB arrays, about one L2 cache.
 _STRONG_NORMALS = 1 << 18
-# Second Philox key word of the quantization sweep; see its docstring.
-_SWEEP_STREAM = (1 << 64) - 1
 
 
 def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
@@ -214,12 +212,6 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
     is independent of the block size and of the other depths in qs and
     their order.
 
-    Y comes from Philox keyed [seed, 2^64 - 1], which no other Generator
-    has: `run` classical keys [seed, level] with level < 64, and the
-    discretization rows key [seed, m] with m < 2^59 (a refined grid of
-    16 m + 1 points must be indexable; gbm_strong_error_vs_exact builds it
-    before its key).
-
     Y and V of a block live in one allocation, 4 MiB for full blocks, and
     its cells in the narrowest integer type, 512 KiB through depth 15. The
     first block's Y and V, freed, lift glibc's mmap threshold to their size
@@ -227,8 +219,7 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
     arrays come from the heap instead of fresh mappings faulted in page by
     page.
     """
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed, _SWEEP_STREAM], dtype=np.uint64)))
+    rng = generator(seed, TOP_STREAM)
     sups = np.empty((len(qs), reps))
     top = max(qs, default=1)
     size = min(reps, max(1, _STRONG_NORMALS // (m * p.d)))
@@ -245,9 +236,11 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
     return [float(np.mean(row ** 2)) for row in sups]
 
 
-# Replications per block of gbm_strong_error_vs_exact: its arrays are
-# (block, _REFINE m + 1), so memory does not grow with the replication count.
+# Replications per block of gbm_strong_error_vs_exact: at most _STRONG_BLOCK
+# paths and _REFINED_NORMALS refined normals, so that its (block, _REFINE m
+# + 1) arrays grow neither with the replication count nor with m.
 _STRONG_BLOCK = 32
+_REFINED_NORMALS = 1 << 19
 _REFINE = 16
 
 
@@ -261,34 +254,34 @@ def gbm_strong_error_vs_exact(p: SDEProblem, m: int, reps: int,
     _REFINE-times finer grid from refined increments; the remaining
     discretization of the sup introduces a bias of order (m*_REFINE)^-1/2,
     well below the m^-1/2 Euler error. Replications are drawn in order in
-    blocks of _STRONG_BLOCK, and their squared sups are summed in block
-    order.
+    blocks, and one mean is taken over all their sup distances, so the row
+    does not depend on the block size.
     """
     if p.r != 1 or p.d != 1 or p.a0.any() or p.b0.any():
         raise ValueError(f"{p.label} has no gbm closed form: need r = d = 1 "
                          f"and a0 = b0 = 0")
     mu, sigma, x0 = p.A[0, 0], p.B[0, 0, 0], p.x0[0]
     mf = m * _REFINE
-    # the grid comes before the key: at m >= 2^59 it cannot be indexed, so
-    # no key [seed, m] of such an m is formed
+    # the grid comes before the stream: at m >= 2^59 it cannot be indexed,
+    # so no stream id TOP_STREAM - m of such an m is formed
     t = np.arange(mf + 1) / mf
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, m], dtype=np.uint64)))
+    rng = generator(seed, TOP_STREAM - m)
     # Euler path linearly interpolated onto the fine grid.
     k_idx = np.minimum((t * m).astype(np.int64), m - 1)
     wgt = t * m - k_idx
-    total = 0.0
-    for start in range(0, reps, _STRONG_BLOCK):
-        n = min(_STRONG_BLOCK, reps - start)
+    sups = np.empty(reps)
+    size = min(_STRONG_BLOCK, max(1, _REFINED_NORMALS // mf))
+    for i in range(0, reps, size):
+        n = min(size, reps - i)
         dw = rng.standard_normal((n, mf)) / math.sqrt(mf)
         w = np.concatenate([np.zeros((n, 1)), np.cumsum(dw, axis=1)], axis=1)
         exact = x0 * np.exp((mu - 0.5 * sigma * sigma) * t + sigma * w)
         v = dw.reshape(n, m, _REFINE, 1).sum(axis=2)
         x = euler_paths_batch(p, v)[:, :, 0]
         euler_fine = (1.0 - wgt) * x[:, k_idx] + wgt * x[:, k_idx + 1]
-        sups = sup_distance_batch(exact[..., None], euler_fine[..., None])
-        total += float(np.sum(sups ** 2))
-    return total / reps
+        sups[i:i + n] = sup_distance_batch(exact[..., None],
+                                           euler_fine[..., None])
+    return float(np.mean(sups ** 2))
 
 
 def sup_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:

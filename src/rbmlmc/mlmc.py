@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bakhvalov import logarithmic_outputs, quadratic_outputs
-from .bitsource import BitSource
+from .bitsource import BitSource, generator
 from .errors import FeasibilityError
 from .euler import (bit_increments, classical_increments, coarse_from_fine,
                     euler_paths_batch)
@@ -130,14 +130,9 @@ class MLMCReport:
 def _level_increments(p: SDEProblem, params: MLMCParams, level: int,
                       seed: int, ledger: CostLedger) -> np.ndarray:
     """Increment batch (N_l, 2^level, d), drawn as the variant's row says."""
-    m = 1 << level
-    N = params.N[level]
-    d = p.d
-    row = params.row
+    m, N, d, row = 1 << level, params.N[level], p.d, params.row
     if row.normals:
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, level], dtype=np.uint64)))
-        v = classical_increments(rng, m, d, n=N)
+        v = classical_increments(generator(seed, level), m, d, n=N)
         ledger.coin_count += v.size
         return v
     src = BitSource(seed, stream_id=level)

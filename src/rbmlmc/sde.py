@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitsource import generator
+
 
 @dataclass(frozen=True)
 class SDEProblem:
@@ -109,9 +111,7 @@ def lipschitz_spot_check(p: SDEProblem, n_pairs: int = 1000,
                          box: float = 3.0, seed: int = 0,
                          rtol: float = 1e-9) -> bool:
     """Sample pairs in [-box, box]^r and check both coefficient bounds."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, size=(n_pairs, p.r))
-    y = rng.uniform(-box, box, size=(n_pairs, p.r))
+    x, y = generator(seed, 1 << 63).uniform(-box, box, (2, n_pairs, p.r))
     dist = np.linalg.norm(x - y, axis=-1)
     da = np.linalg.norm(p.drift(x) - p.drift(y), axis=-1)
     db = np.linalg.norm(p.diffusion(x) - p.diffusion(y), axis=(-2, -1))

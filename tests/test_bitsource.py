@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from rbmlmc.bitsource import BitSource, enumerate_numerators
+from rbmlmc.bitsource import BitSource, enumerate_numerators, generator
 from rbmlmc.errors import FeasibilityError
 
 
@@ -40,10 +40,12 @@ def test_streams_differ_in_first_64_bits():
 @pytest.mark.parametrize("seed, stream", [
     (-1, 0), (2 ** 64, 0), (5, 2 ** 64 + 7), (0, -1)])
 def test_key_words_outside_64_bits_raise(seed, stream):
-    # masking would alias: -1 would draw the bits of 2^64 - 1
+    # masking would alias: -1 would draw the bits of 2^64 - 1; bit and
+    # normal streams check their key words alike
     bad = seed if not 0 <= seed < 2 ** 64 else stream
-    with pytest.raises(ValueError, match=rf"\[0, 2\^64\), got {bad}$"):
-        BitSource(seed, stream)
+    for make in (BitSource, generator):
+        with pytest.raises(ValueError, match=rf"\[0, 2\^64\), got {bad}$"):
+            make(seed, stream)
 
 
 def test_key_word_range_ends_are_accepted():
@@ -71,6 +73,14 @@ def test_block_is_philox_word_in_bit_counter_range():
                            counter=np.array([0, 0, 0, 1], dtype=np.uint64))
     block = BitSource(5, 7)._blocks(14, 1)
     assert block.tolist() == [gen.random_raw(15)[14]] == [0x11e006489213f88]
+
+
+def test_generator_is_philox_keyed_from_counter_zero():
+    # the normal stream [5, 7] starts where its bit stream's range does not
+    words = generator(5, 7).bit_generator.random_raw(4)
+    ref = np.random.Philox(key=np.array([5, 7], dtype=np.uint64))
+    assert words.tolist() == ref.random_raw(4).tolist()
+    assert not np.array_equal(words, BitSource(5, 7)._blocks(0, 4))
 
 
 def test_bit_mean_in_binomial_band():

@@ -265,12 +265,13 @@ def test_run_csv_matches_baseline_hashes(capsys):
         (["strong-error", "--mode", "quantization", "--sde", "linear2d",
           "--m", "64", "--reps", "500", "--q-min", "2", "--q-max", "6"],
          "8483f431e3638f0f"),
-        # m = 32 has no exact sqrt, so the quantized side's scaling shows;
-        # the discretization table is pinned nowhere else
+        # m = 32 has no exact sqrt, so the quantized side's scaling shows
         (["strong-error", "--mode", "quantization", "--m", "32", "--reps",
           "500", "--q-min", "2", "--q-max", "6"], "3c2c1b20e09a4c94"),
+        # the discretization table is pinned nowhere else; repinned when
+        # its rows left the run levels' stream ids
         (["strong-error", "--mode", "discretization", "--m-min", "16",
-          "--m-max", "64", "--reps", "200"], "b0cf975addeca451")]
+          "--m-max", "64", "--reps", "200"], "10b1a5652fd6119a")]
     # oracle and bakhvalov-check output, pinned when the mismatch oracle
     # and the grid moments left the package; the oracle's Monte Carlo side
     # repinned when bit streams moved to Philox
@@ -324,12 +325,14 @@ def test_strong_error_quantization(capsys):
 
 
 def test_generator_streams_do_not_alias(capsys, monkeypatch):
-    # depths 2..16 meet step counts 16 and 32 and the levels of a classical
+    # depths 2..16 meet step counts 1..32 and the levels of a classical
     # run: every Generator's Philox key is formed once, and the sweep's once
-    # in all. A bit run at the same seed reuses the classical keys, but its
-    # streams sit where the counter's top word is 1, which a Generator
-    # starting at counter 0 would need 2^192 words to reach. The oracle's
-    # Monte Carlo side reads the same stream as the bit run's level 0.
+    # in all (discretization rows m = 1, 2, 4, 8 once formed the keys
+    # [3, m] of classical levels 1, 2, 4, 8, also from counter 0). A bit
+    # run at the same seed reuses the classical keys, but its streams sit
+    # where the counter's top word is 1, which a Generator starting at
+    # counter 0 would need 2^192 words to reach. The oracle's Monte Carlo
+    # side reads the same stream as the bit run's level 0.
     import numpy as np
     from rbmlmc.euler import gbm_strong_error_vs_exact
     from rbmlmc.mlmc import params_for_eps
@@ -341,7 +344,7 @@ def test_generator_streams_do_not_alias(capsys, monkeypatch):
         return philox(*args, key=key, counter=counter, **kw)
     monkeypatch.setattr(np.random, "Philox", recording)
     for args in (["strong-error", "--mode", "both", "--m", "16", "--q-min",
-                  "2", "--q-max", "16", "--m-min", "16", "--m-max", "32",
+                  "2", "--q-max", "16", "--m-min", "1", "--m-max", "32",
                   "--reps", "2", "--seed", "3"],
                  ["run", "--variant", "classical", "--eps", "0.125",
                   "--seeds", "3"],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmlmc import euler
 from rbmlmc.bitsource import BitSource
 from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_STEPS, _STRONG_NORMALS,
                           bit_increments, bit_vs_classical_sup_sq,
@@ -343,6 +344,32 @@ def test_strong_error_memory_bounded_in_reps():
         tracemalloc.stop()
     assert 0 < msd < 1e-3
     assert peak < 64 * 2 ** 20
+
+
+def test_strong_error_memory_bounded_in_m():
+    # A block holds at most 2^19 refined normals, 4 MiB per (block, 16 m)
+    # array: 4 rows at m = 2^13, where 32 rows made 32 MiB arrays and a
+    # 199 MiB peak. The warm-up call keeps one-time allocations out.
+    g = make_gbm(0.05, 0.2, 1.0)
+    gbm_strong_error_vs_exact(g, 16, 2, 0)
+    tracemalloc.start()
+    try:
+        msd = gbm_strong_error_vs_exact(g, 1 << 13, 32, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < msd < 1e-4
+    assert peak < 48 * 2 ** 20
+
+
+def test_strong_error_rows_independent_of_the_block(monkeypatch):
+    # one mean over every replication's squared sup: no block-wise sums
+    g = make_gbm(0.05, 0.2, 1.0)
+    rows = []
+    for block in (1, 7, 32):
+        monkeypatch.setattr(euler, "_STRONG_BLOCK", block)
+        rows.append(gbm_strong_error_vs_exact(g, 64, 200, 0))
+    assert all(_same_bits(row, rows[0]) for row in rows)
 
 
 def test_strong_error_vs_exact_needs_a_gbm_problem():
