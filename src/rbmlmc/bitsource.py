@@ -10,11 +10,11 @@ word i % 4 at counter (i // 4, 0, 0, 1), which a Generator would need
 
     stream_id            kind    read by
     l = 0..L (< 2^63)    normal  run --variant classical, level l
-    l = 0..L             bits    run, bit-based variants, level l; l = 0
-                                 also the oracle's --mc-reps side
+    l = 0..L             bits    run, bit-based variants, level l
     2^63                 normal  sde.lipschitz_spot_check
+    2^63 + 1             bits    oracle --mc-reps
     TOP_STREAM - m       normal  strong-error discretization, m < 2^59
-    TOP_STREAM           normal  strong-error quantization, = 2^64 - 1
+    TOP_STREAM           bits    strong-error quantization, = 2^64 - 1
 
 Dyadic uniforms live on the grid of cell midpoints
 {sum_i b_i 2^-i + 2^-(q+1) : b_i in {0,1}}, i.e. (numerator + 1/2) / 2^q

@@ -198,7 +198,7 @@ def cmd_oracle(args) -> int:
     mean, var = exact(problem, f, args.m, args.q)
     mc_mean = z = ""
     if args.mc_reps:
-        src = BitSource(seed, 0)
+        src = BitSource(seed, (1 << 63) + 1)
         v = euler.bit_increments(src, args.m, args.q, problem.d,
                                  n=args.mc_reps)
         vals = mlmc.level_values(problem, f, v, coupled)

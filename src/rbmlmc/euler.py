@@ -14,17 +14,16 @@ import numpy as np
 
 from .bitsource import TOP_STREAM, BitSource, generator
 from .ledger import CostLedger
-# normal_quantile is unused here but stays bound: benchmark tracers patch it.
-from .qnormal import (normal_cells, normal_quantile, quantize_normal,
+from .qnormal import (MAX_DEPTH, normal_quantile, quantize_normal,
                       quantized_increments)
 from .sde import SDEProblem
 
 
 # The scan runs time chunks of T = min(m, _SCAN_STEPS) steps over balanced
 # row blocks of at most _SCAN_ELEMS // T paths, which bounds its scratch
-# memory (tracemalloc peak 7.3 MiB for d = r = 2, 2.6 MiB for gbm). T follows
-# from m alone and paths are independent, so a path's floats do not depend
-# on the batch it is run in.
+# memory at any m (tracemalloc peak 7.1 MiB for d = r = 2, 2.6 MiB for
+# gbm). T follows from m alone and paths are independent, so a path's floats
+# do not depend on the batch it is run in.
 _SCAN_STEPS = 1 << 10
 _SCAN_ELEMS = 1 << 16
 
@@ -141,6 +140,8 @@ def _affine_scan(plan, increments: np.ndarray, out: np.ndarray,
             x = _fold([(M[i, k], xs[k]) for k in ks], M[i, r] if c else None)
             out[:, k0 + 1:k0 + 1 + t, i] = \
                 x.transpose(1, 2, 0).reshape(n, nb * s)[:, :t]
+        # the next chunk's scratch is built after this one's is freed
+        del dw, S, M, xs, x
 
 
 def classical_increments(rng: "np.random.Generator", m: int, d: int,
@@ -199,40 +200,32 @@ _STRONG_NORMALS = 1 << 18
 def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
                             seed: int) -> list[float]:
     """Mean squared sup-distance between the classical and bit schemes when
-    both are driven by the SAME normals (V = m^-1/2 Y vs m^-1/2 Y^(q)), one
-    mean per depth q of the sequence qs.
+    both are driven by the SAME bits, one mean per depth q of the sequence
+    qs.
 
-    Every depth shares the normals: replications run in blocks of about
-    _STRONG_NORMALS normals Y, drawn in order. Each block runs the
-    classical path once and finds Y's cells once, at the deepest q of qs
-    (one pass of the bucket table when it is at most _MAX_TABLE_Q). Then,
-    for each q, it reads the atoms at the cells shifted down to depth q,
-    which are Y's depth-q cells exactly (see qnormal), and runs the bit
-    path. One mean per q is taken over all its sup distances, so each mean
-    is independent of the block size and of the other depths in qs and
-    their order.
-
-    Y and V of a block live in one allocation, 4 MiB for full blocks, and
-    its cells in the narrowest integer type, 512 KiB through depth 15. The
-    first block's Y and V, freed, lift glibc's mmap threshold to their size
-    and the heap trim threshold to twice that, so the later blocks' 2 MiB
-    arrays come from the heap instead of fresh mappings faulted in page by
-    page.
+    Each normal is one MAX_DEPTH-bit numerator k of the bit stream
+    TOP_STREAM. The classical side is driven by the depth-MAX_DEPTH
+    quantized normal Y = quantile((k + 1/2) / 2^MAX_DEPTH), the finest grid
+    binary64 holds, and depth q by the atom at k >> (MAX_DEPTH - q), the
+    top q bits of k. Replications run in blocks of about _STRONG_NORMALS
+    normals, drawn in order; each block runs the classical path once and
+    the bit path once per q. One mean per q is taken over all its sup
+    distances, so each mean is independent of the block size and of the
+    other depths in qs and their order.
     """
-    rng = generator(seed, TOP_STREAM)
+    src = BitSource(seed, TOP_STREAM)
     sups = np.empty((len(qs), reps))
-    top = max(qs, default=1)
     size = min(reps, max(1, _STRONG_NORMALS // (m * p.d)))
     for i in range(0, reps, size):
-        y, v = np.empty((2, min(size, reps - i), m, p.d))
-        rng.standard_normal(out=y)
-        np.divide(y, math.sqrt(m), out=v)
-        classical = euler_paths_batch(p, v)
-        cells = normal_cells(y, top), top
+        k = src.draw_dyadic_numerators(MAX_DEPTH,
+                                       (min(size, reps - i), m, p.d))
+        y = normal_quantile((k + 0.5) / 2.0 ** MAX_DEPTH)
+        classical = euler_paths_batch(p, y / math.sqrt(m))
         for row, q in zip(sups, qs):
             # unnamed, a depth's arrays are freed before the next quantizes
             row[i:i + size] = sup_distance_batch(classical, euler_paths_batch(
-                p, quantized_increments_from_normals(y, m, q, cells=cells)))
+                p, quantized_increments_from_normals(
+                    y, m, q, cells=(k, MAX_DEPTH))))
     return [float(np.mean(row ** 2)) for row in sups]
 
 

@@ -261,26 +261,28 @@ def test_run_csv_matches_baseline_hashes(capsys):
         (["run", "--variant", "classical", "--sde", "linear2d",
           "--functional", "distance_to_ref", "--eps", "0.0625", "--seeds",
           "0,1,2"], "cf5c29947b74f7d1"),
-        # the two quantization tables as the depths came to share normals
+        # the two quantization tables, repinned when the depths came to
+        # share the bits of one 52-bit numerator instead of normals
         (["strong-error", "--mode", "quantization", "--sde", "linear2d",
           "--m", "64", "--reps", "500", "--q-min", "2", "--q-max", "6"],
-         "8483f431e3638f0f"),
+         "eedfc28ae1af8786"),
         # m = 32 has no exact sqrt, so the quantized side's scaling shows
         (["strong-error", "--mode", "quantization", "--m", "32", "--reps",
-          "500", "--q-min", "2", "--q-max", "6"], "3c2c1b20e09a4c94"),
+          "500", "--q-min", "2", "--q-max", "6"], "f620d539f17bca81"),
         # the discretization table is pinned nowhere else; repinned when
         # its rows left the run levels' stream ids
         (["strong-error", "--mode", "discretization", "--m-min", "16",
           "--m-max", "64", "--reps", "200"], "10b1a5652fd6119a")]
     # oracle and bakhvalov-check output, pinned when the mismatch oracle
     # and the grid moments left the package; the oracle's Monte Carlo side
-    # repinned when bit streams moved to Philox
+    # repinned when bit streams moved to Philox, and when it left level 0's
+    # stream for one of its own
     expected += [
         (["oracle", "--sde", "gbm", "--functional", "running_max", "--kind",
           "level-difference", "--m", "4", "--q", "2", "--mc-reps", "1000"],
-         "86a58074c245b356"),
+         "97b3f9e47449c485"),
         (["oracle", "--sde", "linear2d", "--functional", "distance_to_ref",
-          "--m", "1", "--q", "2", "--mc-reps", "1000"], "43e172232ce83d81"),
+          "--m", "1", "--q", "2", "--mc-reps", "1000"], "f20ec9eedf7f9450"),
         (["bakhvalov-check", "--triple"], "2ce4547638992439")]
     for args, prefix in expected:
         code, out, _ = run_cli(args + ["--out", "-"], capsys)
@@ -326,13 +328,14 @@ def test_strong_error_quantization(capsys):
 
 def test_generator_streams_do_not_alias(capsys, monkeypatch):
     # depths 2..16 meet step counts 1..32 and the levels of a classical
-    # run: every Generator's Philox key is formed once, and the sweep's once
-    # in all (discretization rows m = 1, 2, 4, 8 once formed the keys
-    # [3, m] of classical levels 1, 2, 4, 8, also from counter 0). A bit
-    # run at the same seed reuses the classical keys, but its streams sit
-    # where the counter's top word is 1, which a Generator starting at
-    # counter 0 would need 2^192 words to reach. The oracle's Monte Carlo
-    # side reads the same stream as the bit run's level 0.
+    # run: every Generator's Philox key is formed once (discretization rows
+    # m = 1, 2, 4, 8 once formed the keys [3, m] of classical levels 1, 2,
+    # 4, 8, also from counter 0). A bit run at the same seed reuses the
+    # classical keys, but its streams sit where the counter's top word is 1,
+    # which a Generator starting at counter 0 would need 2^192 words to
+    # reach. The quantization sweep reads bits keyed [3, 2^64 - 1], and the
+    # oracle's Monte Carlo side bits under a key of its own (it once read
+    # the bit run's level 0).
     import numpy as np
     from rbmlmc.euler import gbm_strong_error_vs_exact
     from rbmlmc.mlmc import params_for_eps
@@ -343,6 +346,7 @@ def test_generator_streams_do_not_alias(capsys, monkeypatch):
                         else tuple(int(c) for c in counter)))
         return philox(*args, key=key, counter=counter, **kw)
     monkeypatch.setattr(np.random, "Philox", recording)
+    keys = {}
     for args in (["strong-error", "--mode", "both", "--m", "16", "--q-min",
                   "2", "--q-max", "16", "--m-min", "1", "--m-max", "32",
                   "--reps", "2", "--seed", "3"],
@@ -352,15 +356,20 @@ def test_generator_streams_do_not_alias(capsys, monkeypatch):
                   "3"],
                  ["oracle", "--m", "4", "--q", "2", "--mc-reps", "50",
                   "--seed", "3"]):
+        formed = len(streams)
         assert run_cli(args + ["--out", "-"], capsys)[0] == 0
+        keys[args[2] if args[0] == "run" else args[0]] = {
+            k for k, _ in streams[formed:]}
     gen = [k for k, c in streams if c is None]
     bit = {k for k, c in streams if c is not None}
     assert all(c[1:] == (0, 0, 1) for _, c in streams if c is not None)
     assert len(gen) == len(set(gen)) > 3
-    assert gen.count((3, 2 ** 64 - 1)) == 1
     levels = params_for_eps(0.125, "bit").L + 1
-    assert bit == {(3, level) for level in range(levels)}
+    assert bit == {(3, level) for level in range(levels)} | {
+        (3, 2 ** 64 - 1), (3, 2 ** 63 + 1)}
     assert len(bit & set(gen)) == levels  # equal keys, apart by counter
+    assert keys["oracle"] == {(3, 2 ** 63 + 1)}
+    assert keys["oracle"].isdisjoint(keys["classical"] | keys["bit"])
     # a discretization row at m >= 2^59 fails before it forms its key
     formed = len(streams)
     with pytest.raises(ValueError):

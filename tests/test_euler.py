@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbmlmc import euler
-from rbmlmc.bitsource import BitSource
+from rbmlmc.bitsource import TOP_STREAM, BitSource
 from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_STEPS, _STRONG_NORMALS,
                           bit_increments, bit_vs_classical_sup_sq,
                           classical_increments, coarse_from_fine,
                           euler_paths_batch, gbm_strong_error_vs_exact,
-                          quantized_increments_from_normals,
                           sup_distance_batch)
 from rbmlmc.ledger import CostLedger
-from rbmlmc.qnormal import normal_quantile
+from rbmlmc.qnormal import normal_quantile, quantized_increments
 from rbmlmc.sde import SDEProblem, make_gbm, make_zero_noise, preset
 
 Q3 = 0.674489750196082  # quantile(3/4)
@@ -332,6 +331,26 @@ def test_zero_noise_exact_and_coeff_evals_on_both_paths(n, m):
     assert ledger.coeff_evals == 2 * n * m
 
 
+@pytest.mark.parametrize("name, bound_mib", [("linear2d", 7.25),
+                                              ("gbm", 2.65)])
+def test_scan_scratch_bounded_for_every_m(name, bound_mib):
+    # the tracemalloc peak over the output is the same whether a batch is
+    # one time chunk or several: 7.1 MiB for linear2d and 2.5-2.6 MiB for
+    # gbm at each shape (linear2d read 9.5 MiB at (64, 4096) while a
+    # chunk's scratch stayed bound as the next one was built)
+    p = preset(name)
+    for n, m in [(64, 4096), (512, 1024), (4096, 64)]:
+        v = _increments(p, n, m, 11)
+        euler_paths_batch(p, v[:2])
+        tracemalloc.start()
+        try:
+            out = euler_paths_batch(p, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < bound_mib * 2 ** 20, (n, m)
+
+
 def test_strong_error_memory_bounded_in_reps():
     # The replications run in fixed blocks: at reps=2000, m=1024 every
     # (reps, 16 m + 1) array would be 262 MB.
@@ -520,14 +539,14 @@ def test_scan_zero_sign_and_nonfinite_differences():
 
 
 # Frozen copy of the strong-error quantization sweep in one batch: every
-# depth maps the same normals, every array at once, one mean per depth.
+# replication's 52-bit numerators drawn at once, the classical side driven
+# by their depth-52 atoms and depth q by their top q bits, one mean per
+# depth.
 def _one_batch_sup_sq(p, m, qs, reps, seed):
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed, 2 ** 64 - 1], dtype=np.uint64)))
-    y = rng.standard_normal((reps, m, p.d))
-    a = euler_paths_batch(p, y / math.sqrt(m))
+    k = BitSource(seed, TOP_STREAM).draw_dyadic_numerators(52, (reps, m, p.d))
+    a = euler_paths_batch(p, quantized_increments(k, 52, m))
     return [float(np.mean(sup_distance_batch(a, euler_paths_batch(
-        p, quantized_increments_from_normals(y, m, q))) ** 2)) for q in qs]
+        p, quantized_increments(k >> (52 - q), q, m))) ** 2)) for q in qs]
 
 
 @pytest.mark.parametrize("name, m, reps", [
@@ -545,11 +564,28 @@ def test_strong_quantization_blocks_equal_one_batch(name, m, reps):
     assert got == _one_batch_sup_sq(p, m, (2, 5), reps, seed=9)
 
 
+def test_strong_quantization_couples_depths_through_one_numerator(
+        monkeypatch):
+    # one block: depth q reads the atoms at the top q bits of the block's
+    # 52-bit numerators, and the classical side their depth-52 atoms, bit
+    # for bit, below and above the grid cap (20)
+    p, m, reps, qs = preset("gbm"), 8, 3, [2, 11, 12, 20, 21]
+    seen = []
+    monkeypatch.setattr(euler, "euler_paths_batch",
+                        lambda p, v: seen.append(v) or euler_paths_batch(p, v))
+    bit_vs_classical_sup_sq(p, m, qs, reps, seed=5)
+    k = BitSource(5, TOP_STREAM).draw_dyadic_numerators(52, (reps, m, 1))
+    classical, *bits = seen
+    assert len(bits) == len(qs)
+    assert _same_bits(classical, quantized_increments(k, 52, m))
+    for q, v in zip(qs, bits):
+        assert _same_bits(v, quantized_increments(k >> (52 - q), q, m)), q
+
+
 def test_strong_quantization_rows_independent_of_the_range():
-    # the normals are drawn once for all depths and their cells found once,
-    # at the deepest q, so row q of a sweep is the one-depth sweep [q], bit
-    # for bit, for depths in any order and across the table cap (11) and
-    # the grid cap (20), also for d = 2
+    # the numerators are drawn once for all depths, so row q of a sweep is
+    # the one-depth sweep [q], bit for bit, for depths in any order and
+    # across the grid cap (20), also for d = 2
     for name, m, qs, reps in [("gbm", 64, range(2, 10), 300),
                               ("gbm", 16, [9, 2, 12, 21, 5], 60),
                               ("linear2d", 16, [9, 2, 12, 21, 5], 60)]:
@@ -563,8 +599,8 @@ def test_strong_quantization_rows_independent_of_the_range():
 
 def test_strong_quantization_memory_bounded_in_reps():
     # At reps=16384, m=256 every (reps, m) array is 32 MiB; the blocks keep
-    # the peak near a few 2 MiB arrays (14.1 MiB for eight depths). The
-    # warm-up call loads scipy.special and builds the cell tables outside
+    # the peak near a few 2 MiB arrays (13.6 MiB for eight depths). The
+    # warm-up call loads scipy.special and builds the atom tables outside
     # the trace.
     qs = range(2, 10)
     bit_vs_classical_sup_sq(preset("gbm"), 256, qs, 1, 0)

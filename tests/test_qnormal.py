@@ -11,9 +11,7 @@ from rbmlmc.errors import FeasibilityError
 from rbmlmc.euler import bit_increments
 from scipy.special import ndtr, ndtri
 
-from rbmlmc import qnormal
-from rbmlmc.qnormal import (_BUCKETS_PER_UNIT, _MAX_GRID_Q, _MAX_TABLE_Q,
-                            _TABLE_RANGE, MAX_DEPTH, grid_atoms,
+from rbmlmc.qnormal import (_MAX_GRID_Q, MAX_DEPTH, grid_atoms,
                             normal_cells, normal_quantile, quantize_normal,
                             quantized_normals)
 
@@ -237,8 +235,8 @@ def test_atom_grid_is_odd_bitwise():
                               (-atoms[::-1]).view(np.int64)), q
 
 
-# Frozen copy of the quantizer as it was before the bucket table: the cell
-# floor(ndtr(y) 2^q), clamped to the top cell, and the atom by the formula.
+# Frozen copy of the quantizer: the cell floor(ndtr(y) 2^q), clamped to the
+# top cell, and the atom by the formula.
 def _frozen_quantize(y, q):
     k = np.minimum(np.floor(ndtr(y) * (1 << q)).astype(np.int64),
                    (1 << q) - 1)
@@ -260,16 +258,11 @@ def _ulp_neighbours(x, n):
 
 
 def test_quantize_normal_equals_frozen_copy_at_every_boundary():
-    # every double within 300 ulps of a cell boundary ndtri(k / 2^q), and
-    # within 4 ulps of a bucket edge, reads the frozen copy's atom
-    edges = (np.arange(-_TABLE_RANGE * _BUCKETS_PER_UNIT,
-                       _TABLE_RANGE * _BUCKETS_PER_UNIT + 1)
-             / _BUCKETS_PER_UNIT)
-    near_edges = _ulp_neighbours(edges, 4)
-    for q in range(1, _MAX_TABLE_Q + 1):
+    # every double within 300 ulps of a cell boundary ndtri(k / 2^q) reads
+    # the frozen copy's atom, at every depth up to 11
+    for q in range(1, 12):
         _assert_bitwise_frozen(
             _ulp_neighbours(ndtri(np.arange(1, 1 << q) / 2 ** q), 300), q)
-        _assert_bitwise_frozen(near_edges, q)
 
 
 def test_quantize_normal_special_values():
@@ -277,7 +270,7 @@ def test_quantize_normal_special_values():
     y = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324,
                   -5e-324, tiny / 3, -tiny / 3, tiny, -tiny, 9.0, -9.0,
                   np.nextafter(9.0, 0), np.nextafter(-9.0, 0), 40.0, -40.0])
-    for q in (1, 2, 9, _MAX_TABLE_Q, _MAX_TABLE_Q + 1, 25):
+    for q in (1, 2, 9, 11, 12, 25):
         _assert_bitwise_frozen(y, q)
         for x in y[:4]:
             for arg in (x, np.array(x)):
@@ -287,11 +280,10 @@ def test_quantize_normal_special_values():
 
 
 def test_quantize_normal_random_samples_equal_frozen_copy():
-    # above the cap every y takes ndtr; below it most read the table
     rng = np.random.default_rng(19)
     y = np.concatenate([rng.standard_normal(20000),
                         rng.uniform(-12.0, 12.0, 5000)])
-    for q in (1, 5, _MAX_TABLE_Q, _MAX_TABLE_Q + 1, 16, 20, 21, 30):
+    for q in (1, 5, 11, 12, 16, 20, 21, 30):
         _assert_bitwise_frozen(y, q)
         _assert_bitwise_frozen(y.reshape(5, 50, 100), q)
 
@@ -310,14 +302,13 @@ def test_depths_above_max_depth_raise():
 
 def test_cells_nest():
     # normal_cells(y, q) is normal_cells(y, q2) without its last q2 - q
-    # bits, for depth pairs on both sides of the table cap (11) and of the
-    # grid cap (20). The inputs: every double within 300 ulps of each
-    # depth-13 boundary, which are every boundary at depths <= 13 and
-    # boundaries at every deeper one; at each deeper depth the same around
-    # its two outermost boundaries on each side and 256 random ones; and
-    # special values.
+    # bits, for depth pairs on both sides of the grid cap (20). The inputs:
+    # every double within 300 ulps of each depth-13 boundary, which are
+    # every boundary at depths <= 13 and boundaries at every deeper one; at
+    # each deeper depth the same around its two outermost boundaries on
+    # each side and 256 random ones; and special values.
     depths = [*range(1, 14), 20, _MAX_GRID_Q + 1, 30, MAX_DEPTH]
-    assert _MAX_TABLE_Q in depths and _MAX_GRID_Q in depths
+    assert _MAX_GRID_Q in depths
     rng = np.random.default_rng(24)
     bounds = [np.arange(1, 1 << 13) / 2 ** 13]
     for q in depths[13:]:
@@ -341,20 +332,16 @@ def test_cells_nest():
 
 
 def test_quantize_normal_rejects_nan():
-    for q in (3, _MAX_TABLE_Q + 1):
+    for q in (3, 12):
         for y in (np.nan, np.array([0.5, np.nan, -1.0])):
             with pytest.raises(ValueError, match="y contains NaN"):
                 quantize_normal(y, q)
 
 
-def test_int16_cell_table_built_once_per_depth():
-    # a strong-error sweep alternates depths, so every depth's table stays;
-    # deeper than the cap none is built, so at most 1.6 MB are kept
-    qnormal._cell_table.cache_clear()
-    for q in (3, 5, 3, 5, _MAX_TABLE_Q + 1):
-        quantize_normal(np.zeros(4), q)
-    info = qnormal._cell_table.cache_info()
-    assert info.currsize == info.misses == 2
-    table = qnormal._cell_table(5)
-    assert table.dtype == np.int16 and not table.flags.writeable
-    assert _MAX_TABLE_Q * table.nbytes < 1.7e6
+def test_normal_cells_shape_and_narrowest_dtype():
+    # int16 through depth 15, int32 through 31, int64 above; y's shape kept
+    for q, dtype in ((1, np.int16), (15, np.int16), (16, np.int32),
+                     (31, np.int32), (32, np.int64), (MAX_DEPTH, np.int64)):
+        for y in (0.25, np.zeros(0), np.full((2, 3), -0.5)):
+            k = normal_cells(y, q)
+            assert k.dtype == dtype and k.shape == np.shape(y), (q, y)
