@@ -11,7 +11,6 @@ word i % 4 at counter (i // 4, 0, 0, 1), which a Generator would need
     stream_id            kind    read by
     l = 0..L (< 2^63)    normal  run --variant classical, level l
     l = 0..L             bits    run, bit-based variants, level l
-    2^63                 normal  sde.lipschitz_spot_check
     2^63 + 1             bits    oracle --mc-reps
     TOP_STREAM - m       normal  strong-error discretization, m < 2^59
     TOP_STREAM           bits    strong-error quantization, = 2^64 - 1
@@ -52,7 +51,7 @@ def generator(seed: int, stream_id: int) -> "np.random.Generator":
 class BitSource:
     """Single-owner stream of ideal fair bits, counted per draw."""
 
-    def __init__(self, seed: int, stream_id: int = 0):
+    def __init__(self, seed: int, stream_id: int):
         self.seed = key_word("seed", seed)
         self.stream_id = key_word("stream_id", stream_id)
         self.bits_consumed = 0
@@ -63,21 +62,6 @@ class BitSource:
             key=np.array([self.seed, self.stream_id], dtype=np.uint64),
             counter=np.array([first // 4, 0, 0, 1], dtype=np.uint64))
         return gen.random_raw(skip + count)[skip:]
-
-    def draw_bits(self, n: int) -> np.ndarray:
-        """Next n bits as a uint8 array; advances bits_consumed by n."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        p0 = self.bits_consumed
-        b0 = p0 // 64
-        b1 = (p0 + n - 1) // 64 + 1
-        blocks = self._blocks(b0, b1 - b0)
-        bits = np.unpackbits(blocks.astype(">u8").view(np.uint8))
-        off = p0 - 64 * b0
-        self.bits_consumed += n
-        return bits[off:off + n]
 
     def draw_dyadic_numerators(self, q: int, shape) -> np.ndarray:
         """Array of independent q-bit numerators; consumes q*prod(shape) bits.

@@ -102,9 +102,10 @@ def _affine_scan(plan, increments: np.ndarray, out: np.ndarray,
     loop x + a(x)/m + b(x) dW_k to about T * 1e-16 relative. Only the terms
     of `_scan_plan` are formed, each sum in the order of the dense sum over
     all components, so states are the dense scan's bit for bit, except that
-    an exact-zero state may change sign (zero_noise from x0 = -0.0 stays
-    -0.0; adding c = +0.0 gave +0.0) and that an absent term's 0 * inf = nan
-    is not formed (a gbm step with dW = inf gives inf, not nan).
+    an exact-zero state may change sign (a zero problem from x0 = -0.0
+    stays -0.0; adding c = +0.0 gave +0.0) and that an absent term's
+    0 * inf = nan is not formed (a gbm step with dW = inf gives inf, not
+    nan).
     """
     maps, rows = plan
     n, m, d = increments.shape

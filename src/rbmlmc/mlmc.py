@@ -83,18 +83,6 @@ class MLMCParams:
     def row(self) -> Variant:
         return VARIANTS[self.variant]
 
-    @property
-    def n(self) -> tuple:
-        """n_l, the least with n_l^2 >= N_l: the bbit block is (2, n_l)."""
-        return tuple(VARIANTS["bbit"].block(Nl)[1] for Nl in self.N)
-
-    @property
-    def nhat(self) -> tuple:
-        """nhat_l, the least with 2^nhat_l >= N_l, as a float: half the
-        bbit_log row's generators, so 0.5 at N_l == 1, one generator."""
-        return tuple(math.prod(VARIANTS["bbit_log"].block(Nl)) / 2
-                     for Nl in self.N)
-
 
 def params_for_eps(epsilon: float, variant: str) -> MLMCParams:
     """Schedules L, N_l, q for a target accuracy in (0, 1/2)."""

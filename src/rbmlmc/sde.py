@@ -2,16 +2,13 @@
 
 Every problem is affine and is given by its coefficient data: the drift is
 a(x) = A x + a0 and the diffusion is b(x)[i, j] = sum_l B[i, j, l] x_l +
-b0[i, j]. Coefficients are vectorized: drift maps arrays of shape (..., r)
-to (..., r), diffusion maps (..., r) to (..., r, d). Presets are linear so
-terminal-value moments have closed forms usable as exact test targets.
+b0[i, j]. Presets are linear so terminal-value moments have closed forms
+usable as exact test targets.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .bitsource import generator
 
 
 @dataclass(frozen=True)
@@ -33,24 +30,6 @@ class SDEProblem:
                             ("B", (r, d, r)), ("b0", (r, d))):
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-
-    @property
-    def gamma(self) -> float:
-        """The paper's Lipschitz constant gamma of drift and diffusion
-        (Frobenius norm), which its error bounds depend on; kept as that
-        object though no command reads it. It is the larger spectral norm
-        of A and of B as an (r d, r) matrix."""
-        return float(max(np.linalg.norm(self.A, 2),
-                         np.linalg.norm(self.B.reshape(-1, self.r), 2)))
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        """A x + a0 for states x of shape (..., r)."""
-        return np.dot(x, self.A.T) + self.a0
-
-    def diffusion(self, x: np.ndarray) -> np.ndarray:
-        """B x + b0, shape (..., r, d), for states x of shape (..., r)."""
-        slopes = np.dot(x, self.B.reshape(self.r * self.d, self.r).T)
-        return slopes.reshape(x.shape[:-1] + (self.r, self.d)) + self.b0
 
 
 def _affine(label, x0, A, B, b0) -> SDEProblem:
@@ -84,11 +63,6 @@ def make_linear2d() -> SDEProblem:
     return _affine("linear2d", [1.0, 1.0], _LIN2D_A, B, _LIN2D_C)
 
 
-def make_zero_noise(x0: float = 1.0) -> SDEProblem:
-    """Deterministic debug problem: zero drift and diffusion."""
-    return _affine("zero_noise", [x0], [[0.0]], [[[0.0]]], [[0.0]])
-
-
 _PRESETS = {
     "gbm": make_gbm,
     "linear2d": make_linear2d,
@@ -105,15 +79,3 @@ def preset(name: str) -> SDEProblem:
 
 def preset_names() -> list[str]:
     return sorted(_PRESETS)
-
-
-def lipschitz_spot_check(p: SDEProblem, n_pairs: int = 1000,
-                         box: float = 3.0, seed: int = 0,
-                         rtol: float = 1e-9) -> bool:
-    """Sample pairs in [-box, box]^r and check both coefficient bounds."""
-    x, y = generator(seed, 1 << 63).uniform(-box, box, (2, n_pairs, p.r))
-    dist = np.linalg.norm(x - y, axis=-1)
-    da = np.linalg.norm(p.drift(x) - p.drift(y), axis=-1)
-    db = np.linalg.norm(p.diffusion(x) - p.diffusion(y), axis=(-2, -1))
-    bound = p.gamma * dist * (1.0 + rtol)
-    return bool(np.all(da <= bound) and np.all(db <= bound))

@@ -178,11 +178,14 @@ def test_criterion_5_cost_ledger_exactness():
         pl = params_for_eps(eps, "bbit_log")
         formula_ok &= bit_count_formula(pb, d) == sum(
             N * (1 << l) * d * pb.q for l, N in enumerate(pb.N))
+        # 2 n_l generators, n_l = ceil(sqrt(N_l)), and 2 nhat_l, nhat_l =
+        # ceil(log2 N_l), but one at N_l = 1
         formula_ok &= bit_count_formula(pq, d) == sum(
-            2 * n * (1 << l) * pq.q * d for l, n in enumerate(pq.n))
+            2 * math.ceil(math.sqrt(N)) * (1 << l) * pq.q * d
+            for l, N in enumerate(pq.N))
         formula_ok &= bit_count_formula(pl, d) == d * sum(
-            (1 << l) * pl.q * int(round(2 * nh))
-            for l, nh in enumerate(pl.nhat))
+            (1 << l) * pl.q * (2 * math.ceil(math.log2(N)) if N > 1 else 1)
+            for l, N in enumerate(pl.N))
     # measured counters from actual runs, at the grid points where a full
     # simulation is cheap (the formula side above covers the whole grid)
     measured_ok = True

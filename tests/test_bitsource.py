@@ -10,30 +10,47 @@ from rbmlmc.bitsource import BitSource, enumerate_numerators, generator
 from rbmlmc.errors import FeasibilityError
 
 
+def _philox_blocks(seed, stream_id, first, count):
+    """Blocks of a bit stream from a direct Philox call at the bit
+    streams' counter range."""
+    gen = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64),
+                           counter=np.array([0, 0, 0, 1], dtype=np.uint64))
+    return gen.random_raw(first + count)[first:]
+
+
+def _stream_bits(seed, stream_id, n):
+    """The first n bits of a bit stream, most significant bit first."""
+    words = _philox_blocks(seed, stream_id, 0, -(-n // 64))
+    return np.unpackbits(words.astype(">u8").view(np.uint8))[:n]
+
+
 def test_reproducible_given_seed_and_stream():
-    a = BitSource(1234, 0).draw_bits(64)
-    b = BitSource(1234, 0).draw_bits(64)
+    a = BitSource(1234, 0).draw_dyadic_numerators(1, 64)
+    b = BitSource(1234, 0).draw_dyadic_numerators(1, 64)
     assert np.array_equal(a, b)
+    assert np.array_equal(a, _stream_bits(1234, 0, 64))
 
 
 def test_chunking_does_not_change_positions():
-    whole = BitSource(5, 3).draw_bits(200)
+    whole = BitSource(5, 3).draw_dyadic_numerators(1, 200)
     src = BitSource(5, 3)
-    pieces = np.concatenate([src.draw_bits(n) for n in (1, 7, 64, 100, 28)])
+    pieces = np.concatenate([src.draw_dyadic_numerators(1, n)
+                             for n in (1, 7, 64, 100, 28)])
     assert np.array_equal(whole, pieces)
+    assert np.array_equal(whole, _stream_bits(5, 3, 200))
 
 
 def test_draw_bit_counts_one():
-    src = BitSource(0)
+    src = BitSource(0, 0)
     for i in range(10):
-        b = src.draw_bits(1)
+        b = src.draw_dyadic_numerators(1, 1)
         assert b.shape == (1,) and b[0] in (0, 1)
         assert src.bits_consumed == i + 1
 
 
 def test_streams_differ_in_first_64_bits():
-    a = BitSource(77, 0).draw_bits(64)
-    b = BitSource(77, 1).draw_bits(64)
+    a = BitSource(77, 0).draw_dyadic_numerators(1, 64)
+    b = BitSource(77, 1).draw_dyadic_numerators(1, 64)
     assert not np.array_equal(a, b)
 
 
@@ -50,8 +67,9 @@ def test_key_words_outside_64_bits_raise(seed, stream):
 
 def test_key_word_range_ends_are_accepted():
     top = 2 ** 64 - 1
-    assert not np.array_equal(BitSource(top, 0).draw_bits(64),
-                              BitSource(0, top).draw_bits(64))
+    a = BitSource(top, 0).draw_dyadic_numerators(1, 64)
+    b = BitSource(0, top).draw_dyadic_numerators(1, 64)
+    assert not np.array_equal(a, b)
 
 
 @given(first=st.integers(0, 4095), count=st.integers(0, 64),
@@ -85,7 +103,7 @@ def test_generator_is_philox_keyed_from_counter_zero():
 
 def test_bit_mean_in_binomial_band():
     # 4 sigma band for n = 1e6 fair bits: 0.5 +- 4 * 0.5/1000
-    mean = BitSource(20260826).draw_bits(10 ** 6).mean()
+    mean = BitSource(20260826, 0).draw_dyadic_numerators(1, 10 ** 6).mean()
     assert 0.498 <= mean <= 0.502
 
 
@@ -97,23 +115,13 @@ def test_dyadic_value_formula():
     assert vals[nums == 2][0] == 0.625
     assert set(BitSource(4, 3).draw_dyadic_values(1, 100)) == {0.25, 0.75}
     with pytest.raises(ValueError):
-        BitSource(0).draw_dyadic_values(0, 3)
-
-
-def test_dyadic_uniform_matches_bit_pattern():
-    src = BitSource(42, 9)
-    bits = BitSource(42, 9).draw_bits(6)
-    nums = src.draw_dyadic_numerators(3, 2)
-    assert src.bits_consumed == 6
-    for j, k in enumerate(nums):
-        expected = int("".join(map(str, bits[3 * j:3 * j + 3])), 2)
-        assert k == expected
+        BitSource(0, 0).draw_dyadic_values(0, 3)
 
 
 @given(q=st.integers(1, 12), d=st.integers(1, 5), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=50, deadline=None)
 def test_bit_count_exactness(q, d, seed):
-    src = BitSource(seed)
+    src = BitSource(seed, 0)
     src.draw_dyadic_numerators(q, d)
     assert src.bits_consumed == d * q
     src.draw_dyadic_numerators(q, (3, d))
@@ -121,7 +129,7 @@ def test_bit_count_exactness(q, d, seed):
 
 
 def test_dyadic_values_open_interval():
-    v = BitSource(8).draw_dyadic_values(4, 1000)
+    v = BitSource(8, 0).draw_dyadic_values(4, 1000)
     assert np.all((v > 0) & (v < 1))
     assert len(np.unique(v)) == 16
 
@@ -146,7 +154,7 @@ def test_stream_independence_chi_square_q2():
 def test_enumeration_reads_bits_like_draws():
     # row c of the enumeration is what a source draws when its bits spell c
     src = BitSource(42, 9)
-    code = int("".join(map(str, BitSource(42, 9).draw_bits(12))), 2)
+    code = BitSource(42, 9).draw_dyadic_numerators(12, 1)[0]
     table = enumerate_numerators(4, 3)
     assert table.shape == (1 << 12, 4)
     assert np.array_equal(table[code], src.draw_dyadic_numerators(3, 4))
@@ -162,11 +170,11 @@ def test_numerators_cut_from_words_match_bits(offset, q, count, seed):
     # fields are cut from 64-bit words; the reference reads the same stream
     # positions one bit at a time, most significant bit first
     src = BitSource(seed, 5)
-    src.draw_bits(offset)
+    src.draw_dyadic_numerators(1, offset)
     nums = src.draw_dyadic_numerators(q, count)
     assert src.bits_consumed == offset + count * q
     assert nums.dtype == np.int64 and nums.shape == (count,)
-    bits = BitSource(seed, 5).draw_bits(offset + count * q)[offset:]
+    bits = _stream_bits(seed, 5, offset + count * q)[offset:]
     expected = [int("".join(map(str, bits[j * q:(j + 1) * q])), 2)
                 for j in range(count)]
     assert [int(k) for k in nums] == expected
@@ -174,9 +182,10 @@ def test_numerators_cut_from_words_match_bits(offset, q, count, seed):
 
 def test_numerators_straddling_words_and_depth_cap():
     src = BitSource(3, 1)
-    src.draw_bits(60)  # the first 63-bit field spans blocks 0 and 1
+    # skip 60 bits: the first 63-bit field spans blocks 0 and 1
+    src.draw_dyadic_numerators(1, 60)
     nums = src.draw_dyadic_numerators(63, (2, 2))
-    bits = BitSource(3, 1).draw_bits(60 + 4 * 63)[60:]
+    bits = _stream_bits(3, 1, 60 + 4 * 63)[60:]
     assert nums.ravel().tolist() == [
         int("".join(map(str, bits[j * 63:(j + 1) * 63])), 2)
         for j in range(4)]
@@ -187,20 +196,13 @@ def test_numerators_straddling_words_and_depth_cap():
 
 
 # Frozen copy of the gather cutter that preceded the period-column cutter:
-# it reads each numerator from the two blocks it may straddle. Its blocks
-# come from a direct Philox call at the bit streams' counter range.
-def _frozen_blocks(seed, stream_id, first, count):
-    gen = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64),
-                           counter=np.array([0, 0, 0, 1], dtype=np.uint64))
-    return gen.random_raw(first + count)[first:]
-
-
+# it reads each numerator from the two blocks it may straddle.
 def _frozen_numerators(seed, stream_id, position, q, shape):
     shape = (shape,) if np.isscalar(shape) else tuple(shape)
     total = int(np.prod(shape, dtype=np.int64)) if shape else 1
     first, off = divmod(position, 64)
     count = (off + total * q - 1) // 64 + 2
-    blk = _frozen_blocks(seed, stream_id, first, count)
+    blk = _philox_blocks(seed, stream_id, first, count)
     s = np.arange(off, off + total * q, q, dtype=np.uint64)
     r = s & np.uint64(63)
     s >>= np.uint64(6)
@@ -221,7 +223,7 @@ _SHAPES = st.one_of(
 def test_period_columns_equal_frozen_gather_cutter(q, offset, shapes, seed,
                                                    stream):
     src = BitSource(seed, stream)
-    src.draw_bits(offset)
+    src.draw_dyadic_numerators(1, offset)
     for shape in shapes:
         position = src.bits_consumed
         ref = _frozen_numerators(seed, stream, position, q, shape)
@@ -237,7 +239,7 @@ def test_numerator_draw_memory(q, offset):
     # the level-16 shape of epsilon = 2^-6: the gather cutter peaked at
     # 5.0-5.3 times the returned bytes
     src = BitSource(9, 2)
-    src.draw_bits(offset)
+    src.draw_dyadic_numerators(1, offset)
     tracemalloc.start()
     try:
         out = src.draw_dyadic_numerators(q, (17, 65536, 1))
@@ -250,7 +252,7 @@ def test_numerator_draw_memory(q, offset):
 @pytest.mark.parametrize("shape", [(-1,), (2, -3), -4])
 def test_negative_dimension_leaves_counter_unchanged(shape):
     src = BitSource(6, 1)
-    src.draw_bits(9)
+    src.draw_dyadic_numerators(1, 9)
     with pytest.raises(ValueError, match="non-negative"):
         src.draw_dyadic_numerators(4, shape)
     assert src.bits_consumed == 9

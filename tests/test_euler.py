@@ -17,13 +17,13 @@ from rbmlmc.euler import (_SCAN_ELEMS, _SCAN_STEPS, _STRONG_NORMALS,
                           sup_distance_batch)
 from rbmlmc.ledger import CostLedger
 from rbmlmc.qnormal import normal_quantile, quantized_increments
-from rbmlmc.sde import SDEProblem, make_gbm, make_zero_noise, preset
+from rbmlmc.sde import SDEProblem, make_gbm, preset
 
 Q3 = 0.674489750196082  # quantile(3/4)
 
 
 def test_zero_increments_zero_drift_constant_path():
-    p = make_zero_noise(x0=2.5)
+    p = make_gbm(0.0, 0.0, 2.5)
     path = euler_paths_batch(p, np.zeros((1, 4, 1)))[0]
     assert np.all(path == 2.5)
 
@@ -66,14 +66,11 @@ def test_bit_increments_atoms_and_count():
 
 def test_bit_increment_single_value():
     # m=1, q=2, bits (1,0) -> numerator 2 -> u = 0.625
-    src = BitSource(0, 0)
-    # find a seed/stream whose first two bits are (1,0)
-    while True:
-        probe = BitSource(src.seed, src.stream_id)
-        if tuple(probe.draw_bits(2)) == (1, 0):
-            break
-        src = BitSource(src.seed, src.stream_id + 1)
-    v = bit_increments(src, 1, 2, 1, n=1)
+    # find a stream whose first two bits are (1,0)
+    stream = 0
+    while BitSource(0, stream).draw_dyadic_numerators(2, 1)[0] != 2:
+        stream += 1
+    v = bit_increments(BitSource(0, stream), 1, 2, 1, n=1)
     assert v[0, 0, 0] == pytest.approx(normal_quantile(0.625), abs=1e-14)
 
 
@@ -115,7 +112,7 @@ def test_coupled_classical_pair_variance_band():
 
 
 def test_coupled_pair_degenerate_case():
-    p = make_zero_noise()
+    p = make_gbm(0.0, 0.0)
     v = classical_increments(np.random.default_rng(0), 4, 1, n=1)
     assert np.all(euler_paths_batch(p, v) == p.x0[0])
     assert np.all(euler_paths_batch(p, coarse_from_fine(v)) == p.x0[0])
@@ -258,11 +255,11 @@ ALL_PROBLEMS = ["gbm", "additive_noise", "linear2d", "zero_noise"]
 
 
 def _problem(name):
-    return make_zero_noise() if name == "zero_noise" else preset(name)
+    return make_gbm(0.0, 0.0) if name == "zero_noise" else preset(name)
 
 
-def reference_paths(p, increments):
-    drift, diffusion = REFERENCE_COEFFS[p.label]
+def reference_paths(name, p, increments):
+    drift, diffusion = REFERENCE_COEFFS[name]
     n, m, _ = increments.shape
     out = np.empty((n, m + 1, p.r), dtype=float)
     x = np.broadcast_to(p.x0, (n, p.r)).copy()
@@ -294,7 +291,7 @@ def test_scan_matches_sequential_reference(name):
     for i, (n, m) in enumerate(SCAN_SHAPES):
         v = _increments(p, n, m, 1000 + i)
         got = euler_paths_batch(p, v)
-        ref = reference_paths(p, v)
+        ref = reference_paths(name, p, v)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1))
     # the shapes exercise several chunks with a short tail, and more than
@@ -324,7 +321,7 @@ def test_sub_batch_bitwise_equal_full_batch(name):
 
 @pytest.mark.parametrize("n, m", [(3, 1000), (5000, 4)])
 def test_zero_noise_exact_and_coeff_evals_on_both_paths(n, m):
-    p = make_zero_noise(x0=-1.75)
+    p = make_gbm(0.0, 0.0, -1.75)
     ledger = CostLedger()
     paths = euler_paths_batch(p, _increments(p, n, m, 7), ledger)
     assert np.all(paths == -1.75)
@@ -397,7 +394,7 @@ def test_strong_error_vs_exact_needs_a_gbm_problem():
     for name in ("additive_noise", "linear2d"):
         with pytest.raises(ValueError, match=name):
             gbm_strong_error_vs_exact(preset(name), 16, 50, 0)
-    assert gbm_strong_error_vs_exact(make_zero_noise(), 16, 50, 0) == 0.0
+    assert gbm_strong_error_vs_exact(make_gbm(0.0, 0.0), 16, 50, 0) == 0.0
 
 
 # Frozen copy of the dense affine scan, as it was before the scan skipped the
@@ -447,14 +444,16 @@ def _dense_paths(p, increments):
 
 
 def _sequential_paths(p, increments):
-    """The Euler loop on the problem's own drift and diffusion."""
+    """The Euler loop x + (A x + a0)/m + (B x + b0) dW on the problem's
+    coefficient data."""
     n, m, _ = increments.shape
     out = np.empty((n, m + 1, p.r))
     out[:, 0] = p.x0
     for k in range(m):
         x = out[:, k]
-        out[:, k + 1] = x + p.drift(x) / m + np.einsum(
-            "nrd,nd->nr", p.diffusion(x), increments[:, k])
+        b = np.einsum("ijl,nl->nij", p.B, x) + p.b0
+        out[:, k + 1] = x + (x @ p.A.T + p.a0) / m + np.einsum(
+            "nij,nj->ni", b, increments[:, k])
     return out
 
 
@@ -525,7 +524,7 @@ def test_chain_problem_fill_in(d):
 
 def test_scan_zero_sign_and_nonfinite_differences():
     # An exact-zero state may change sign: the dense scan added c = +0.0.
-    p = make_zero_noise(x0=-0.0)
+    p = make_gbm(0.0, 0.0, -0.0)
     v = np.zeros((1, 4, 1))
     got, dense = euler_paths_batch(p, v), _dense_paths(p, v)
     assert np.array_equal(got, dense)            # -0.0 == 0.0

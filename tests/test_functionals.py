@@ -5,7 +5,7 @@ from rbmlmc.euler import sup_distance_batch
 from rbmlmc.functionals import (make_constant, preset_functional,
                                 preset_functional_names)
 from rbmlmc.mlmc import MLMCParams, run
-from rbmlmc.sde import make_zero_noise
+from rbmlmc.sde import make_gbm
 
 
 def at(f, values):
@@ -60,7 +60,7 @@ def test_distance_to_ref_bitwise_equals_norm(r):
     assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
-def test_lipschitz_spot_check_all_presets():
+def test_functionals_lipschitz_in_sup_distance():
     rng = np.random.default_rng(0)
     names = preset_functional_names()
     for _ in range(1000):
@@ -77,10 +77,10 @@ def test_eval_with_cost_charges_breakpoints():
     # mlmc.run charges m+1 per evaluation on an m-step path: one fine path
     # per level, plus one coarse path with m/2 steps from level 1 on
     params = MLMCParams(variant="classical", L=3, N=(1, 1, 1, 1))
-    rep = run(make_zero_noise(), preset_functional("terminal"), params, 0)
+    rep = run(make_gbm(0.0, 0.0), preset_functional("terminal"), params, 0)
     assert rep.ledger.info_cost == 2 + (3 + 2) + (5 + 3) + (9 + 5)
     params = MLMCParams(variant="classical", L=1, N=(3, 2))
-    rep = run(make_zero_noise(), preset_functional("terminal"), params, 0)
+    rep = run(make_gbm(0.0, 0.0), preset_functional("terminal"), params, 0)
     assert rep.ledger.info_cost == 3 * 2 + 2 * (3 + 2)
 
 

@@ -12,11 +12,11 @@ from rbmlmc import mlmc
 from rbmlmc.cli import build_parser
 from rbmlmc.functionals import make_constant, preset_functional
 from rbmlmc.ledger import CostLedger
-from rbmlmc.mlmc import (MLMCParams, _level_increments, bit_count_formula,
-                         coin_count_formula, info_cost_formula, params_for_eps,
-                         run, work_model)
+from rbmlmc.mlmc import (VARIANTS, MLMCParams, _level_increments,
+                         bit_count_formula, coin_count_formula,
+                         info_cost_formula, params_for_eps, run, work_model)
 from rbmlmc.qnormal import normal_quantile
-from rbmlmc.sde import make_gbm, make_zero_noise, preset
+from rbmlmc.sde import make_gbm, preset
 
 EPS = 0.25  # eps^-2 = 16, log2 = 4: L = 4 + ceil(log2 4) = 6
 
@@ -28,14 +28,18 @@ def test_schedule_eps_quarter():
 
 
 def test_schedule_generator_counts():
-    p = params_for_eps(EPS, "bbit")
-    assert p.n == tuple(int(np.ceil(np.sqrt(N))) for N in p.N)
-    assert p.n[3] == 7
-    pl = params_for_eps(EPS, "bbit_log")
-    assert pl.nhat == (7.0, 6.0, 6.0, 6.0, 5.0, 5.0, 4.0)
-    # derived from N alone, whatever the variant; N_l = 1 is one generator
-    hand = MLMCParams(variant="bit", L=2, N=(5, 1, 3), q=5)
-    assert hand.n == (3, 1, 2) and hand.nhat == (3.0, 0.5, 2.0)
+    # the pairwise rows draw (2, n_l) generators, the least n_l with
+    # n_l^2 >= N_l, and 2 nhat_l, the least nhat_l with 2^nhat_l >= N_l,
+    # but one at N_l = 1
+    def counts(Ns):
+        return ([VARIANTS["bbit"].block(N)[1] for N in Ns],
+                [math.prod(VARIANTS["bbit_log"].block(N)) / 2 for N in Ns])
+
+    Ns = params_for_eps(EPS, "bbit").N
+    n, nhat = counts(Ns)
+    assert n == [int(np.ceil(np.sqrt(N))) for N in Ns] and n[3] == 7
+    assert nhat == [7.0, 6.0, 6.0, 6.0, 5.0, 5.0, 4.0]
+    assert counts((5, 1, 3)) == ([3, 1, 2], [3.0, 0.5, 2.0])
 
 
 def test_schedule_monotone_in_eps():
@@ -157,7 +161,7 @@ def test_constant_functional_telescopes_exactly():
 def test_zero_noise_variants_agree_exactly():
     # deterministic dynamics: estimator value is increment-independent
     f = preset_functional("terminal")
-    p = make_zero_noise()
+    p = make_gbm(0.0, 0.0)
     params = {v: params_for_eps(0.25, v) for v in ("classical", "bit")}
     a = run(p, f, params["classical"], seed=0)
     b = run(p, f, params["bit"], seed=123)
@@ -214,16 +218,17 @@ def _per_step_increments(p, params, level, seed):
     """Reference: one combiner call per time index, stacked on axis 1, and
     the quantile formula; returns the increments and the bits drawn."""
     m, N, q, d = 1 << level, params.N[level], params.q, p.d
+    block = VARIANTS[params.variant].block(N)
     src = BitSource(seed, stream_id=level)
     if params.variant == "bbit":
-        n = params.n[level]
+        n = block[1]
         g = src.draw_dyadic_numerators(q, (m, 2 * n, d))
         nums = np.stack([quadratic_outputs(g[k].reshape(2, n, d), q)[:N]
                          for k in range(m)], axis=1)
     elif N == 1:
         nums = src.draw_dyadic_numerators(q, (1, m, d))
     else:
-        g = src.draw_dyadic_numerators(q, (m, 2, int(params.nhat[level]), d))
+        g = src.draw_dyadic_numerators(q, (m, *block, d))
         nums = np.stack([logarithmic_outputs(g[k], q)[:N]
                          for k in range(m)], axis=1)
     v = normal_quantile((nums + 0.5) / 2.0 ** q) / math.sqrt(m)

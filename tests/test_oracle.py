@@ -11,7 +11,7 @@ from rbmlmc.oracle import (enumerate_bit_increments,
                            exact_expectation_bit_euler,
                            exact_level_difference)
 from rbmlmc.qnormal import grid_atoms, normal_quantile
-from rbmlmc.sde import make_gbm, make_zero_noise, preset
+from rbmlmc.sde import make_gbm, preset
 
 Q3 = 0.674489750196082  # quantile at u = 3/4, the q=1 grid atom
 
@@ -58,7 +58,7 @@ def test_exact_expectation_constant():
 
 def test_exact_expectation_zero_noise():
     # zero drift and diffusion: the path never leaves x0
-    p = make_zero_noise()
+    p = make_gbm(0.0, 0.0)
     mean, var = exact_expectation_bit_euler(p, preset_functional("terminal"),
                                             m=4, q=2)
     assert mean == 1.0

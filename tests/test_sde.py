@@ -6,8 +6,12 @@ import pytest
 
 from rbmlmc.euler import euler_paths_batch
 from rbmlmc.ledger import CostLedger
-from rbmlmc.sde import (lipschitz_spot_check, make_gbm, make_zero_noise,
-                        preset, preset_names)
+from rbmlmc.sde import make_gbm, preset, preset_names
+
+# The paper's Lipschitz constant gamma of drift and diffusion (Frobenius
+# norm), which its error bounds depend on: for affine data, the larger
+# spectral norm of A and of B as an (r d, r) matrix.
+GAMMA = {"gbm": 0.2, "additive_noise": 1.0, "linear2d": 0.514916286289917}
 
 
 def test_preset_names_and_unknown():
@@ -17,43 +21,46 @@ def test_preset_names_and_unknown():
 
 
 def test_gbm_coefficients():
+    # a(x) = 0.05 x, b(x) = 0.2 x
     g = preset("gbm")
-    x = np.array([2.0])
-    assert g.drift(x)[0] == pytest.approx(0.1)
-    assert g.diffusion(x)[0, 0] == pytest.approx(0.4)
-    assert g.gamma == 0.2
+    assert (g.A.tolist(), g.a0.tolist()) == ([[0.05]], [0.0])
+    assert (g.B.tolist(), g.b0.tolist()) == ([[[0.2]]], [[0.0]])
+    assert g.x0.tolist() == [1.0]
     # closed-form terminal mean used as an exact target elsewhere
     assert float(g.x0[0]) * math.exp(g.A[0, 0]) == pytest.approx(
         1.0512710963760241)
 
 
 def test_additive_noise_coefficients():
+    # a(x) = -x, b(x) = 1
     p = preset("additive_noise")
-    x = np.array([0.0])
-    assert p.drift(x)[0] == 0.0
-    assert p.diffusion(x)[0, 0] == 1.0
+    assert (p.A.tolist(), p.a0.tolist()) == ([[-1.0]], [0.0])
+    assert (p.B.tolist(), p.b0.tolist()) == ([[[0.0]]], [[1.0]])
     # Ornstein-Uhlenbeck closed forms
     assert math.exp(-1.0) == pytest.approx(0.36787944117144233)
     assert (1 - math.exp(-2.0)) / 2 == pytest.approx(0.43233235838169365)
 
 
-def test_linear2d_diffusion_nonsingular_at_x0():
-    p = preset("linear2d")
-    b = p.diffusion(p.x0)
-    assert abs(np.linalg.det(b)) > 1e-6
-
-
 def test_all_presets_pass_lipschitz_spot_check():
+    # pairs in [-3, 3]^r: a0 and b0 cancel in the coefficient differences
+    rng = np.random.default_rng(0)
     for name in preset_names():
-        assert lipschitz_spot_check(preset(name))
+        p = preset(name)
+        # a(x) - a(y) = A (x - y), and b(x) - b(y) flattened is B (x - y)
+        slopes = (p.A, p.B.reshape(-1, p.r))
+        assert max(np.linalg.norm(s, 2) for s in slopes) == GAMMA[name]
+        x, y = rng.uniform(-3.0, 3.0, (2, 1000, p.r))
+        bound = GAMMA[name] * np.linalg.norm(x - y, axis=-1) * (1 + 1e-9)
+        for s in slopes:
+            assert np.all(np.linalg.norm((x - y) @ s.T, axis=-1) <= bound)
 
 
 def test_diffusion_nonsingular_square_presets():
     for name in preset_names():
         p = preset(name)
-        if p.r == p.d:
-            assert abs(np.linalg.det(np.atleast_2d(
-                p.diffusion(p.x0)))) > 0
+        if p.r == p.d:  # b(x0) = B x0 + b0
+            b = np.einsum("ijl,l->ij", p.B, p.x0) + p.b0
+            assert abs(np.linalg.det(b)) > 1e-6
 
 
 def test_dimension_mismatch_errors():
@@ -73,17 +80,10 @@ def test_coefficient_evaluation_counter():
     assert ledger.coeff_evals == 2 + 2 * 5 * 3
 
 
-def test_zero_noise_debug_problem():
-    p = make_zero_noise()
-    assert np.all(p.drift(np.array([3.0])) == 0)
-    assert np.all(p.diffusion(np.array([3.0])) == 0)
-
-
 def test_make_gbm_custom_parameters():
-    p = make_gbm(0.0, 1.0, 1.0)
-    assert p.drift(np.array([5.0]))[0] == 0.0
-    assert p.diffusion(np.array([5.0]))[0, 0] == 5.0
-    assert p.gamma == 1.0
+    p = make_gbm(0.0, 1.0, 2.0)
+    assert (p.A.tolist(), p.B.tolist(), p.x0.tolist()) == (
+        [[0.0]], [[[1.0]]], [2.0])
 
 
 def test_problem_rejects_misshaped_coefficients():
