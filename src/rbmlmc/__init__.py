@@ -12,8 +12,8 @@ from .qnormal import normal_quantile, quantize_normal
 from .sde import SDEProblem, preset
 from .euler import bit_increments, classical_increments
 from .functionals import Functional, preset_functional
-from .bakhvalov import exact_pairwise_check, find_nonuniform_triple
+from .bakhvalov import exact_pairwise_check, find_nonuniform_tuple
 from .mlmc import MLMCParams, MLMCReport, params_for_eps, run
-from .oracle import exact_expectation_bit_euler, exact_level_difference
+from .oracle import exact_level_values
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ jointly uniform; small n*q are checked exactly by enumerating all
 generator realizations.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -61,14 +62,16 @@ def logarithmic_outputs(g: np.ndarray, q: int,
     return _slot_sums(np.moveaxis(g, -2, 0), q, count)
 
 
-FAMILIES = {"quadratic": quadratic_outputs,
-            "logarithmic": logarithmic_outputs}
+# a family's combine and the (n, q) checks bakhvalov-check runs by default
+Family = namedtuple("Family", "combine checks")
+FAMILIES = {"quadratic": Family(quadratic_outputs, ((2, 1), (2, 2), (3, 1))),
+            "logarithmic": Family(logarithmic_outputs, ((2, 1), (3, 1)))}
 
 
 def _family(variant: str):
     if variant not in FAMILIES:
         raise ValueError(f"unknown variant {variant!r}")
-    return FAMILIES[variant]
+    return FAMILIES[variant].combine
 
 
 def _all_outputs(n: int, q: int, variant: str) -> np.ndarray:
@@ -149,20 +152,15 @@ def _nonuniform_tuples(outs: np.ndarray, q: int, size: int):
 
 def find_nonuniform_tuple(n: int, q: int, variant: str,
                           size: int) -> tuple | None:
-    """First index tuple of the given size whose exact joint is not uniform."""
-    return next(_nonuniform_tuples(_all_outputs(n, q, variant), q, size), None)
+    """First index tuple of the given size whose exact joint is not uniform.
 
-
-def find_nonuniform_triple(n: int, q: int,
-                           variant: str = "quadratic") -> tuple | None:
-    """First triple of output indices whose exact joint is not uniform.
-
-    Returns None if every triple is jointly uniform. For the quadratic
-    construction that is in fact always the case: a character-sum argument
-    needs every generator to appear with exponents summing to zero, which
-    three distinct cells of the (j1, j2) grid cannot achieve, so the first
-    dependent sets are 4-tuples (see find_nonuniform_tuple with size 4).
-    The same holds for the logarithmic construction: some slot j splits
-    three distinct indices 1|2, leaving one of its two generators alone.
+    Returns None if every tuple of that size is jointly uniform. Whether a
+    dependent triple exists is a property of the family:
+    * quadratic: none. A character-sum argument needs every generator to
+      appear with exponents summing to zero, which three distinct cells of
+      the (j1, j2) grid cannot achieve; the first dependent set is the
+      4-tuple (0, 1, 2, 3).
+    * logarithmic: none. Some slot j splits three distinct indices 1|2,
+      leaving one of its two generators alone.
     """
-    return find_nonuniform_tuple(n, q, variant, 3)
+    return next(_nonuniform_tuples(_all_outputs(n, q, variant), q, size), None)

@@ -11,7 +11,7 @@ word i % 4 at counter (i // 4, 0, 0, 1), which a Generator would need
     stream_id            kind    read by
     l = 0..L (< 2^63)    normal  run --variant classical, level l
     l = 0..L             bits    run, bit-based variants, level l
-    2^63 + 1             bits    oracle --mc-reps
+    ORACLE_STREAM        bits    oracle --mc-reps, = 2^63 + 1
     TOP_STREAM - m       normal  strong-error discretization, m < 2^59
     TOP_STREAM           bits    strong-error quantization, = 2^64 - 1
 
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import FeasibilityError
 
 ENUMERATION_BIT_CAP = 24
+ORACLE_STREAM = (1 << 63) + 1
 TOP_STREAM = (1 << 64) - 1
 
 

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import bakhvalov, euler, functionals, mlmc, oracle, sde
-from .bitsource import BitSource, key_word
+from .bitsource import ORACLE_STREAM, BitSource, key_word
 from .errors import FeasibilityError
 from .qnormal import MAX_DEPTH
 
@@ -159,11 +159,6 @@ def cmd_strong_error(args) -> int:
     return 0
 
 
-_DEFAULT_CHECKS = (("quadratic", 2, 1), ("quadratic", 2, 2),
-                   ("quadratic", 3, 1), ("logarithmic", 2, 1),
-                   ("logarithmic", 3, 1))
-
-
 def cmd_bakhvalov_check(args) -> int:
     if (args.n is None) != (args.q is None):
         raise ValueError("give both --n and --q, or neither")
@@ -173,11 +168,12 @@ def cmd_bakhvalov_check(args) -> int:
             raise ValueError(f"need --n, --q >= 1, got {args.n}, {args.q}")
         checks = [(args.variant or "quadratic", args.n, args.q)]
     else:
-        checks = [c for c in _DEFAULT_CHECKS if args.variant in (None, c[0])]
+        checks = [(v, n, q) for v, row in bakhvalov.FAMILIES.items()
+                  if args.variant in (None, v) for n, q in row.checks]
     reports = [bakhvalov.exact_pairwise_check(n, q, v) for v, n, q in checks]
     lines = list(map(str, reports))
     if args.triple:
-        t = bakhvalov.find_nonuniform_triple(2, 1, "quadratic")
+        t = bakhvalov.find_nonuniform_tuple(2, 1, "quadratic", 3)
         lines.append(f"quadratic n=2 q=1 non-uniform triple: {t}")
     _write(args.out, lambda out: out.writelines(f"{s}\n" for s in lines))
     return 0 if all(rep.passed for rep in reports) else 1
@@ -193,12 +189,13 @@ def cmd_oracle(args) -> int:
     if args.mc_reps < 0:
         raise ValueError(f"--mc-reps must be >= 0, got {args.mc_reps}")
     coupled = args.kind == "level-difference"
-    exact = (oracle.exact_level_difference if coupled
-             else oracle.exact_expectation_bit_euler)
-    mean, var = exact(problem, f, args.m, args.q)
+    if coupled and args.m % 2 != 0:
+        raise ValueError(f"--kind level-difference needs an even --m, "
+                         f"got {args.m}")
+    mean, var = oracle.exact_level_values(problem, f, args.m, args.q, coupled)
     mc_mean = z = ""
     if args.mc_reps:
-        src = BitSource(seed, (1 << 63) + 1)
+        src = BitSource(seed, ORACLE_STREAM)
         v = euler.bit_increments(src, args.m, args.q, problem.d,
                                  n=args.mc_reps)
         vals = mlmc.level_values(problem, f, v, coupled)

@@ -5,9 +5,9 @@ of m*d*q fair bits, so its expectation is the equal-weight average over all
 2^(m*d*q) bit strings. bitsource.enumerate_numerators reads them as a
 BitSource draws: the j-th q-bit field of a bit string is the numerator of
 the j-th dyadic uniform drawn, fields ordered step-major,
-component-minor. Two exact quantities are computed this way: the mean and
-variance of f at one path, and of one level's fine-minus-coarse difference
-under the coupling the estimator runs (mlmc.level_values).
+component-minor. exact_level_values gives the mean and variance of what
+mlmc.level_values returns: f at one path, or one level's fine-minus-coarse
+difference under the coupling the estimator runs.
 """
 
 import numpy as np
@@ -25,17 +25,9 @@ def enumerate_bit_increments(m: int, q: int, d: int) -> np.ndarray:
     return quantized_increments(nums, q, m).reshape(-1, m, d)
 
 
-def exact_expectation_bit_euler(p: SDEProblem, f: Functional, m: int,
-                                q: int) -> tuple[float, float]:
-    """Exact (mean, variance) of f at the m-step depth-q bit-Euler path."""
-    vals = level_values(p, f, enumerate_bit_increments(m, q, p.d), False)
+def exact_level_values(p: SDEProblem, f: Functional, m: int, q: int,
+                       coupled: bool) -> tuple[float, float]:
+    """Exact (mean, variance) of f at the m-step depth-q bit-Euler path, or
+    with coupled of f(fine) - f(coarse); a coupled pair needs an even m."""
+    vals = level_values(p, f, enumerate_bit_increments(m, q, p.d), coupled)
     return float(np.mean(vals)), float(np.var(vals))
-
-
-def exact_level_difference(p: SDEProblem, f: Functional, m: int,
-                           q: int) -> tuple[float, float]:
-    """Exact (mean, variance) of f(fine) - f(coarse) under the coupling."""
-    if m % 2 != 0:
-        raise ValueError("m must be even for a coupled pair")
-    diff = level_values(p, f, enumerate_bit_increments(m, q, p.d), True)
-    return float(np.mean(diff)), float(np.var(diff))

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from rbmlmc.bakhvalov import (exact_pairwise_check, find_nonuniform_triple,
-                              find_nonuniform_tuple, joint_is_uniform)
+from rbmlmc.bakhvalov import (exact_pairwise_check, find_nonuniform_tuple,
+                              joint_is_uniform)
 from rbmlmc.bitsource import BitSource
 from rbmlmc.cli import main as cli_main
 from rbmlmc.euler import (bit_increments, bit_vs_classical_sup_sq,
@@ -22,8 +22,7 @@ from rbmlmc.euler import (bit_increments, bit_vs_classical_sup_sq,
 from rbmlmc.functionals import make_constant, preset_functional
 from rbmlmc.mlmc import (bit_count_formula, coin_count_formula,
                          info_cost_formula, params_for_eps, run, work_model)
-from rbmlmc.oracle import (exact_expectation_bit_euler,
-                           exact_level_difference)
+from rbmlmc.oracle import exact_level_values
 from rbmlmc.sde import make_gbm, preset
 
 GBM_TERMINAL_MEAN = 1.0512710963760241  # x0 * exp(mu) for the gbm preset
@@ -66,10 +65,8 @@ def test_criterion_1_oracle_equivalence():
     for idx, (kind, sde_name, fname, m, q) in enumerate(_ORACLE_MATRIX):
         p = preset(sde_name)
         f = preset_functional(fname, x0=p.x0)
-        if kind == "expectation":
-            mean, var = exact_expectation_bit_euler(p, f, m, q)
-        else:
-            mean, var = exact_level_difference(p, f, m, q)
+        mean, var = exact_level_values(p, f, m, q,
+                                       kind == "level-difference")
         src = BitSource(99, stream_id=idx)
         v = bit_increments(src, m, q, p.d, n=reps)
         vals = f.eval_batch(euler_paths_batch(p, v))
@@ -103,7 +100,7 @@ def test_criterion_2_bakhvalov_exactness():
     exact_ok = all(exact_pairwise_check(n, q, v).passed for v, n, q in checks)
     quad = find_nonuniform_tuple(2, 1, "quadratic", 4)
     quad_uniform = joint_is_uniform(2, 1, "quadratic", (0, 1, 2, 3))
-    triple = find_nonuniform_triple(2, 1, "quadratic")
+    triple = find_nonuniform_tuple(2, 1, "quadratic", 3)
     elapsed = time.perf_counter() - t0
     ok = (exact_ok and quad == (0, 1, 2, 3) and quad_uniform is False
           and triple is None and elapsed < 10.0)

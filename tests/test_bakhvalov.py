@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rbmlmc import bakhvalov
 from rbmlmc.bakhvalov import (_all_outputs, _slot_sums, exact_pairwise_check,
-                              find_nonuniform_triple, find_nonuniform_tuple,
+                              find_nonuniform_tuple,
                               joint_is_uniform, logarithmic_outputs,
                               quadratic_outputs)
 from rbmlmc.bitsource import BitSource, enumerate_numerators
@@ -90,9 +90,9 @@ def test_marginal_uniformity_sampled():
 
 
 def test_every_triple_uniform_quadratic():
-    assert find_nonuniform_triple(2, 1, "quadratic") is None
-    assert find_nonuniform_triple(2, 2, "quadratic") is None
-    assert find_nonuniform_triple(3, 1, "quadratic") is None
+    assert find_nonuniform_tuple(2, 1, "quadratic", 3) is None
+    assert find_nonuniform_tuple(2, 2, "quadratic", 3) is None
+    assert find_nonuniform_tuple(3, 1, "quadratic", 3) is None
 
 
 def test_dependence_first_appears_at_four_tuples():
@@ -105,9 +105,9 @@ def test_logarithmic_triples_dependent():
     # out[0] + out[3] == out[1] + out[2] (mod 1) is a 4-tuple relation; every
     # slot splits three distinct indices 1|2, so all triples are uniform
     assert find_nonuniform_tuple(2, 1, "logarithmic", 4) == (0, 1, 2, 3)
-    assert find_nonuniform_triple(2, 1, "logarithmic") is None
-    assert find_nonuniform_triple(2, 2, "logarithmic") is None
-    assert find_nonuniform_triple(3, 1, "logarithmic") is None
+    assert find_nonuniform_tuple(2, 1, "logarithmic", 3) is None
+    assert find_nonuniform_tuple(2, 2, "logarithmic", 3) is None
+    assert find_nonuniform_tuple(3, 1, "logarithmic", 3) is None
 
 
 def test_enumeration_cap():

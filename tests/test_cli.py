@@ -283,7 +283,13 @@ def test_run_csv_matches_baseline_hashes(capsys):
          "97b3f9e47449c485"),
         (["oracle", "--sde", "linear2d", "--functional", "distance_to_ref",
           "--m", "1", "--q", "2", "--mc-reps", "1000"], "f20ec9eedf7f9450"),
-        (["bakhvalov-check", "--triple"], "2ce4547638992439")]
+        (["bakhvalov-check", "--triple"], "2ce4547638992439"),
+        # the default checks, pinned when they came to be read from the
+        # rows of bakhvalov.FAMILIES
+        (["bakhvalov-check"], "5aa5c9af03aa1b8c"),
+        (["bakhvalov-check", "--variant", "quadratic"], "fe1b3478008ca1ff"),
+        (["bakhvalov-check", "--variant", "logarithmic"],
+         "9992f0d38fad5dcd")]
     for args, prefix in expected:
         code, out, _ = run_cli(args + ["--out", "-"], capsys)
         assert code == 0
@@ -415,6 +421,22 @@ def test_bakhvalov_check_variant_selects_checks(flags, families, capsys):
     assert [line.split()[0] for line in out.splitlines()] == families
 
 
+def test_bakhvalov_check_reads_checks_from_families(capsys, monkeypatch):
+    # a third row adds its checks to the default run and its name to
+    # --variant, with no change to the CLI
+    before = run_cli(["bakhvalov-check"], capsys)[1]
+    monkeypatch.setitem(bakhvalov.FAMILIES, "quadratic_copy",
+                        bakhvalov.Family(bakhvalov.quadratic_outputs,
+                                         ((2, 1),)))
+    code, out, _ = run_cli(["bakhvalov-check"], capsys)
+    added = ("quadratic_copy n=2 q=1: 4 outputs, 16 realizations "
+             "enumerated -> PASS\n")
+    assert code == 0 and out == before + added
+    code, out, _ = run_cli(["bakhvalov-check", "--variant",
+                            "quadratic_copy"], capsys)
+    assert code == 0 and out == added
+
+
 def test_bakhvalov_check_triple_reports_none(capsys):
     code, out, _ = run_cli(["bakhvalov-check", "--triple"], capsys)
     assert code == 0
@@ -474,6 +496,14 @@ def test_oracle_with_mc(capsys):
     rows = parse_csv(out)
     z = float(rows[1][9])
     assert abs(z) < 4.0
+
+
+def test_oracle_level_difference_odd_m_exit_2(capsys):
+    # a coupled pair halves the fine steps: the refusal names the flag
+    code, out, err = run_cli(["oracle", "--kind", "level-difference", "--m",
+                              "3", "--q", "1", "--out", "-"], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "--m" in err
 
 
 def test_oracle_feasibility_exit_3(capsys):

@@ -7,9 +7,7 @@ from rbmlmc.errors import FeasibilityError
 from rbmlmc.euler import bit_increments, coarse_from_fine, euler_paths_batch
 from rbmlmc.bitsource import BitSource
 from rbmlmc.functionals import make_constant, preset_functional
-from rbmlmc.oracle import (enumerate_bit_increments,
-                           exact_expectation_bit_euler,
-                           exact_level_difference)
+from rbmlmc.oracle import enumerate_bit_increments, exact_level_values
 from rbmlmc.qnormal import grid_atoms, normal_quantile
 from rbmlmc.sde import make_gbm, preset
 
@@ -51,24 +49,24 @@ def test_enumeration_cap():
 
 
 def test_exact_expectation_constant():
-    mean, var = exact_expectation_bit_euler(make_gbm(), make_constant(2.0),
-                                            m=2, q=3)
+    mean, var = exact_level_values(make_gbm(), make_constant(2.0),
+                                   m=2, q=3, coupled=False)
     assert mean == 2.0 and var == 0.0
 
 
 def test_exact_expectation_zero_noise():
     # zero drift and diffusion: the path never leaves x0
     p = make_gbm(0.0, 0.0)
-    mean, var = exact_expectation_bit_euler(p, preset_functional("terminal"),
-                                            m=4, q=2)
+    mean, var = exact_level_values(p, preset_functional("terminal"),
+                                   m=4, q=2, coupled=False)
     assert mean == 1.0
     assert var == pytest.approx(0.0, abs=1e-28)
 
 
 def test_exact_expectation_gbm_m1_hand_value():
     # X_1 = x0 (1 + mu + sigma v), E over v in {+-Q3} -> x0 (1 + mu)
-    mean, var = exact_expectation_bit_euler(make_gbm(), preset_functional(
-        "terminal"), m=1, q=1)
+    mean, var = exact_level_values(make_gbm(), preset_functional(
+        "terminal"), m=1, q=1, coupled=False)
     assert mean == pytest.approx(1.0 * (1 + 0.05), abs=1e-12)
     assert var == pytest.approx((0.2 * Q3) ** 2, abs=1e-12)
 
@@ -76,7 +74,7 @@ def test_exact_expectation_gbm_m1_hand_value():
 def test_oracle_matches_monte_carlo():
     p = preset("gbm")
     f = preset_functional("running_max")
-    mean, var = exact_expectation_bit_euler(p, f, m=4, q=2)
+    mean, var = exact_level_values(p, f, m=4, q=2, coupled=False)
     src = BitSource(99, 0)
     reps = 200_000
     from rbmlmc.euler import euler_paths_batch
@@ -87,15 +85,15 @@ def test_oracle_matches_monte_carlo():
 
 
 def test_exact_level_difference_zero_for_constant():
-    mean, var = exact_level_difference(make_gbm(), make_constant(1.0),
-                                       m=4, q=2)
+    mean, var = exact_level_values(make_gbm(), make_constant(1.0),
+                                   m=4, q=2, coupled=True)
     assert mean == 0.0 and var == 0.0
 
 
 def test_exact_level_difference_requires_even_m():
     with pytest.raises(ValueError):
-        exact_level_difference(make_gbm(), preset_functional("terminal"),
-                               m=1, q=2)
+        exact_level_values(make_gbm(), preset_functional("terminal"),
+                           m=1, q=2, coupled=True)
 
 
 def test_level_difference_mean_matches_expectation_gap():
@@ -104,8 +102,8 @@ def test_level_difference_mean_matches_expectation_gap():
     # so compare against the coupled enumeration itself re-aggregated.
     p = make_gbm()
     f = preset_functional("terminal")
-    mean, var = exact_level_difference(p, f, m=2, q=2)
-    fine_mean, _ = exact_expectation_bit_euler(p, f, m=2, q=2)
+    mean, var = exact_level_values(p, f, m=2, q=2, coupled=True)
+    fine_mean, _ = exact_level_values(p, f, m=2, q=2, coupled=False)
     v = enumerate_bit_increments(2, 2, 1)
     coarse_mean = float(np.mean(f.eval_batch(
         euler_paths_batch(p, coarse_from_fine(v)))))
