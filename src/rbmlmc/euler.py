@@ -1,9 +1,11 @@
 """Euler schemes on [0,1], random-bit increments, and fine/coarse couplings.
 
 All schemes share one batched kernel: given increments of shape (n, m, d) it
-produces n piecewise-linear paths with breakpoints k/m, stored as an array of
-shape (n, m+1, r). The coarse path of a coupling is driven by pairwise sums
-of the SAME fine increments, so a coupled pair costs no extra randomness.
+produces n piecewise-linear paths with breakpoints k/m, returned as an
+(n, m+1, r) view of time-major (m+1, r, n) storage, the path index fastest,
+as the scan computes them. The coarse path of a coupling is driven by
+pairwise sums of the SAME fine increments, so a coupled pair costs no extra
+randomness.
 """
 
 import math
@@ -21,7 +23,7 @@ from .sde import SDEProblem
 
 # The scan runs time chunks of T = min(m, _SCAN_STEPS) steps over balanced
 # row blocks of at most _SCAN_ELEMS // T paths, which bounds its scratch
-# memory at any m (tracemalloc peak 7.1 MiB for d = r = 2, 2.6 MiB for
+# memory at any m (tracemalloc peak 6.8 MiB for d = r = 2, 1.6 MiB for
 # gbm). T follows from m alone and paths are independent, so a path's floats
 # do not depend on the batch it is run in.
 _SCAN_STEPS = 1 << 10
@@ -30,22 +32,33 @@ _SCAN_ELEMS = 1 << 16
 
 def euler_paths_batch(p: SDEProblem, increments: np.ndarray,
                       ledger: CostLedger | None = None) -> np.ndarray:
-    """Batched Euler recursion; increments (n, m, d) -> values (n, m+1, r)."""
+    """Batched Euler recursion; increments (n, m, d), in either layout ->
+    values (n, m+1, r), the view of time-major (m+1, r, n) states."""
     increments = np.asarray(increments, dtype=float)
     n, m, d = increments.shape
     if d != p.d:
         raise ValueError(f"driving dimension mismatch: {d} != {p.d}")
-    out = np.empty((n, m + 1, p.r), dtype=float)
-    out[:, 0, :] = p.x0
     chunk = max(1, min(m, _SCAN_STEPS))
+    # the last chunk's last block may end up to s - 1 steps past m (never
+    # for a power-of-two m): those states go to rows past m + 1
+    t = (m - 1) % chunk + 1
+    s, nb = _blocking(t)
+    states = np.empty((m + 1 + nb * s - t, p.r, n), dtype=float)
+    states[0] = p.x0[:, None]
     blocks = -(-n // (_SCAN_ELEMS // chunk))
     plan = _scan_plan(p, m)
     for i in range(blocks):
         rows = slice(i * n // blocks, (i + 1) * n // blocks)
-        _affine_scan(plan, increments[rows], out[rows], chunk)
+        _affine_scan(plan, increments[rows], states[:, :, rows], chunk)
     if ledger is not None:
         ledger.coeff_evals += 2 * n * m
-    return out
+    return states[:m + 1].transpose(2, 0, 1)
+
+
+def _blocking(t: int) -> tuple[int, int]:
+    """A time chunk of t steps as nb blocks of s steps, s about sqrt(t)."""
+    s = 1 << (t.bit_length() // 2)
+    return s, -(-t // s)
 
 
 def _scan_plan(p: SDEProblem, m: int):
@@ -67,9 +80,13 @@ def _scan_plan(p: SDEProblem, m: int):
     return maps, rows
 
 
-def _fold(pairs, plus=None):
-    """a0 b0 + a1 b1 + ..., added left to right, + plus if given."""
-    acc = reduce(add, (a * b for a, b in pairs))
+def _fold(pairs, plus=None, out=None):
+    """a0 b0 + a1 b1 + ..., added left to right, + plus if given; written
+    into out if given."""
+    (a, b), *rest = pairs
+    acc = np.multiply(a, b, out=out)
+    for a, b in rest:
+        acc += a * b
     if plus is not None:
         acc += plus
     return acc
@@ -91,10 +108,11 @@ def _recur(terms):
                 acc += plus[j - 1]
 
 
-def _affine_scan(plan, increments: np.ndarray, out: np.ndarray,
+def _affine_scan(plan, increments: np.ndarray, states: np.ndarray,
                  chunk: int) -> None:
-    """Fill out[:, 1:] from out[:, 0] with the Euler step written as an
-    affine map x_{k+1} = M_k x_k + c_k, M_k = I + A/m + sum_j B[:, j] dW_kj.
+    """Fill states[1:] (time-major, (steps, r, n)) from states[0] with the
+    Euler step written as an affine map x_{k+1} = M_k x_k + c_k,
+    M_k = I + A/m + sum_j B[:, j] dW_kj, for increments (n, m, d).
     Each time chunk of T steps is split into blocks of about sqrt(T) steps:
     prefix maps are composed inside every block at once, the block start
     states are carried, and every state is filled in, in about 2 sqrt(T)
@@ -105,44 +123,47 @@ def _affine_scan(plan, increments: np.ndarray, out: np.ndarray,
     an exact-zero state may change sign (a zero problem from x0 = -0.0
     stays -0.0; adding c = +0.0 gave +0.0) and that an absent term's
     0 * inf = nan is not formed (a gbm step with dW = inf gives inf, not
-    nan).
+    nan). The last chunk's padding steps need states rows up to its last
+    block's end.
     """
     maps, rows = plan
     n, m, d = increments.shape
     r = len(rows)
     for k0 in range(0, m, chunk):
         t = min(chunk, m - k0)
-        s = 1 << (t.bit_length() // 2)          # steps per block
-        nb = -(-t // s)                          # blocks in the chunk
-        # dw: (d, s, n, nb). Padding steps only follow the chunk's last
-        # state, so they change nothing that is kept.
+        s, nb = _blocking(t)
+        # every plane is (s, nb, n), step in block, block, path, as the
+        # states are stored. dw: (d, s, nb, n). Padding steps only follow
+        # the chunk's last state, so they change nothing that is kept.
         dw = increments[:, k0:k0 + t]
         if t < nb * s:
             dw = np.concatenate([dw, np.zeros((n, nb * s - t, d))], axis=1)
-        dw = dw.reshape(n, nb, s, d).transpose(3, 2, 0, 1).copy()
-        # one-step maps S: (s, n, nb) planes, or s constants; in-block prefix
-        # maps M: (r, r + 1, s, n, nb), summed plane by plane, as numpy is
-        # slow on many tiny matrices; column r only if some row has a c
+        dw = dw.reshape(n, nb, s, d).transpose(3, 2, 1, 0).copy()
+        # one-step maps S: planes, or s constants; in-block prefix maps
+        # M: (r, r + 1, s, nb, n), summed plane by plane, as numpy is slow on
+        # many tiny matrices; column r only if some row has a c
         S = {(i, k): _fold([(b, dw[j]) for b, j in noise], const or None)
              if noise else [const] * s for i, k, const, noise, _ in maps}
-        M = np.empty((r, r + any(c for _, c in rows), s, n, nb))
+        M = np.empty((r, r + any(c for _, c in rows), s, nb, n))
         for i, k, *_ in maps:
             M[i, k, 0] = S[i, k][0]
         _recur([(M[i, k], [(S[i, l][1:], M[l, k]) for l in ls],
                  S[i, k][1:] if k == r else None)
                 for i, k, _, _, ls in maps])
-        # block start states xs: (r, n, nb), carried over the blocks
-        xs = np.empty((r, n, nb))
-        xs[:, :, 0] = out[:, k0].T
-        _recur([(xs[i].T, [(M[i, k, -1].T, xs[k].T) for k in ks],
-                 M[i, r, -1].T if c else None)
+        # block start states xs: (r, nb, n), carried over the blocks
+        xs = np.empty((r, nb, n))
+        xs[:, 0] = states[k0]
+        _recur([(xs[i], [(M[i, k, -1], xs[k]) for k in ks],
+                 M[i, r, -1] if c else None)
                 for i, (ks, c) in enumerate(rows)])
+        # each state straight into its row: the chunk's rows of component i
+        # are its (s, nb, n) plane with the first two axes swapped
         for i, (ks, c) in enumerate(rows):
-            x = _fold([(M[i, k], xs[k]) for k in ks], M[i, r] if c else None)
-            out[:, k0 + 1:k0 + 1 + t, i] = \
-                x.transpose(1, 2, 0).reshape(n, nb * s)[:, :t]
+            _fold([(M[i, k], xs[k]) for k in ks], M[i, r] if c else None,
+                  out=states[k0 + 1:k0 + 1 + nb * s, i]
+                  .reshape(nb, s, n).transpose(1, 0, 2))
         # the next chunk's scratch is built after this one's is freed
-        del dw, S, M, xs, x
+        del dw, S, M, xs
 
 
 def classical_increments(rng: "np.random.Generator", m: int, d: int,

@@ -30,8 +30,9 @@ def _running_max(values: np.ndarray) -> np.ndarray:
 
 
 def _time_average(values: np.ndarray) -> np.ndarray:
-    # Exact trapezoid on the path's own equidistant breakpoints.
-    v = values[:, :, 0]
+    # Exact trapezoid on the path's own equidistant breakpoints, summed over
+    # a path-major copy: numpy sums a row pairwise only along its inner axis.
+    v = np.ascontiguousarray(values[:, :, 0])
     m = v.shape[1] - 1
     return (0.5 * (v[:, 0] + v[:, -1]) + v[:, 1:-1].sum(axis=1)) / m
 

@@ -28,6 +28,9 @@ def enumerate_bit_increments(m: int, q: int, d: int) -> np.ndarray:
 def exact_level_values(p: SDEProblem, f: Functional, m: int, q: int,
                        coupled: bool) -> tuple[float, float]:
     """Exact (mean, variance) of f at the m-step depth-q bit-Euler path, or
-    with coupled of f(fine) - f(coarse); a coupled pair needs an even m."""
+    with coupled of f(fine) - f(coarse); a coupled pair needs an even m,
+    refused before any bit string is enumerated."""
+    if coupled and m % 2:
+        raise ValueError(f"a coupled level needs an even m, got m = {m}")
     vals = level_values(p, f, enumerate_bit_increments(m, q, p.d), coupled)
     return float(np.mean(vals)), float(np.var(vals))

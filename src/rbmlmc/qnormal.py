@@ -96,8 +96,12 @@ def quantized_normals(nums, q: int) -> np.ndarray:
 
 
 def quantized_increments(nums, q: int, m: int) -> np.ndarray:
-    """Increments m^{-1/2} Y^(q) over steps 1/m at numerators nums: the
-    atoms, divided by sqrt(m) in place."""
+    """Increments m^{-1/2} Y^(q) over steps 1/m at numerators nums, laid out
+    in memory as nums is: for q <= 20 one gather from grid_atoms(q) /
+    sqrt(m), one division per atom, else the atoms divided in place; the
+    same floats either way."""
+    if q <= _MAX_GRID_Q:
+        return (grid_atoms(q) / np.sqrt(m))[nums]
     v = quantized_normals(nums, q)
     v /= np.sqrt(m)
     return v

@@ -272,7 +272,17 @@ def test_run_csv_matches_baseline_hashes(capsys):
         # the discretization table is pinned nowhere else; repinned when
         # its rows left the run levels' stream ids
         (["strong-error", "--mode", "discretization", "--m-min", "16",
-          "--m-max", "64", "--reps", "200"], "10b1a5652fd6119a")]
+          "--m-max", "64", "--reps", "200"], "10b1a5652fd6119a"),
+        # time_average sums each path's breakpoints pairwise, whatever the
+        # layout of the states; running_max over r = 2
+        (["run", "--variant", "bit", "--functional", "time_average", "--eps",
+          "0.0625", "--seeds", "0,1,2"], "662ad89553e8b606"),
+        (["run", "--variant", "classical", "--sde", "additive_noise",
+          "--functional", "time_average", "--eps", "0.0625", "--seeds",
+          "0,1,2"], "184121468544cbc5"),
+        (["run", "--variant", "bbit-log", "--sde", "linear2d",
+          "--functional", "running_max", "--eps", "0.0625", "--seeds",
+          "0,1,2"], "e47d84d749bd5a30")]
     # oracle and bakhvalov-check output, pinned when the mismatch oracle
     # and the grid moments left the package; the oracle's Monte Carlo side
     # repinned when bit streams moved to Philox, and when it left level 0's

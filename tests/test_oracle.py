@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rbmlmc import oracle
 from rbmlmc.errors import FeasibilityError
 from rbmlmc.euler import bit_increments, coarse_from_fine, euler_paths_batch
 from rbmlmc.bitsource import BitSource
@@ -90,10 +91,17 @@ def test_exact_level_difference_zero_for_constant():
     assert mean == 0.0 and var == 0.0
 
 
-def test_exact_level_difference_requires_even_m():
-    with pytest.raises(ValueError):
-        exact_level_values(make_gbm(), preset_functional("terminal"),
-                           m=1, q=2, coupled=True)
+def test_exact_level_difference_requires_even_m(monkeypatch):
+    # refused before any bit string is enumerated: (m, q) = (3, 8) took
+    # 2.9 s to raise when the coarse sums refused it
+    def enumerate_bit_increments(*a):
+        raise AssertionError("enumerated an odd m")
+    monkeypatch.setattr(oracle, "enumerate_bit_increments",
+                        enumerate_bit_increments)
+    for m, q in ((1, 2), (3, 8)):
+        with pytest.raises(ValueError, match=f"even m, got m = {m}"):
+            exact_level_values(make_gbm(), preset_functional("terminal"),
+                               m=m, q=q, coupled=True)
 
 
 def test_level_difference_mean_matches_expectation_gap():

@@ -13,7 +13,7 @@ from scipy.special import ndtr, ndtri
 
 from rbmlmc.qnormal import (_MAX_GRID_Q, MAX_DEPTH, grid_atoms,
                             normal_cells, normal_quantile, quantize_normal,
-                            quantized_normals)
+                            quantized_increments, quantized_normals)
 
 # Reference CDF values frozen from a 30-digit mpmath computation.
 CDF_REFS = {
@@ -215,6 +215,25 @@ def test_atom_table_equals_formula_bitwise():
     assert np.array_equal(table, normal_quantile((np.arange(8) + 0.5) / 8))
     with pytest.raises(ValueError):
         table[0] = 0.0
+
+
+def test_quantized_increments_are_atoms_over_sqrt_m_bitwise():
+    # q <= 20 gathers from the table divided by sqrt(m), q = 21 divides the
+    # formula's atoms: the same floats, in the index's shape and memory
+    # order, for a C-ordered index and for a transposed view alike
+    rng = np.random.default_rng(2030)
+    for q in (1, 9, 16, 20, 21):
+        k = rng.integers(0, 1 << q, size=(5, 4, 3))
+        k[0, 0, :2] = 0, (1 << q) - 1
+        for axes in ((0, 1, 2), (1, 2, 0)):
+            nums = k.transpose(axes)
+            for m in (1, 3, 32, 1024):
+                got = quantized_increments(nums, q, m)
+                want = quantized_normals(nums, q) / np.sqrt(m)
+                assert got.shape == nums.shape
+                assert got.transpose(np.argsort(axes)).flags.c_contiguous
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (q, m)
 
 
 def test_atoms_within_4_ulps_of_references():
