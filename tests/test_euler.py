@@ -342,16 +342,10 @@ def test_zero_noise_exact_and_coeff_evals_on_both_paths(n, m):
     assert ledger.coeff_evals == 2 * n * m
 
 
-@pytest.mark.parametrize("name, bound_mib", [("linear2d", 6.9),
-                                              ("gbm", 1.7)])
-def test_scan_scratch_bounded_for_every_m(name, bound_mib):
-    # the tracemalloc peak over the output is the same whether a batch is
-    # one time chunk or several: 6.7-6.8 MiB for linear2d and 1.6 MiB for
-    # gbm at each shape, since states are filled in place (7.1 and 2.6 MiB
-    # with a filled plane per component; linear2d read 9.5 MiB at
-    # (64, 4096) while a chunk's scratch stayed bound as the next one was
-    # built)
+def _scan_scratch_peak_mib(name):
+    # the largest tracemalloc peak over the output across batch shapes
     p = preset(name)
+    peak_mib = 0.0
     for n, m in [(64, 4096), (512, 1024), (4096, 64)]:
         v = _increments(p, n, m, 11)
         euler_paths_batch(p, v[:2])
@@ -361,7 +355,26 @@ def test_scan_scratch_bounded_for_every_m(name, bound_mib):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes < bound_mib * 2 ** 20, (n, m)
+        peak_mib = max(peak_mib, (peak - out.nbytes) / 2 ** 20)
+    return peak_mib
+
+
+@pytest.mark.parametrize("name, bound_mib", [("linear2d", 7.25),
+                                              ("gbm", 2.65)])
+def test_scan_scratch_bounded_for_every_m(name, bound_mib):
+    # the tracemalloc peak over the output is the same whether a batch is
+    # one time chunk or several (linear2d read 9.5 MiB at (64, 4096) while
+    # a chunk's scratch stayed bound as the next one was built)
+    assert _scan_scratch_peak_mib(name) < bound_mib
+
+
+@pytest.mark.parametrize("name, bound_mib", [("linear2d", 6.9),
+                                              ("gbm", 1.7)])
+def test_scan_fills_states_in_place(name, bound_mib):
+    # 6.7-6.8 MiB for linear2d and 1.6 MiB for gbm at each shape, since
+    # states are filled in place in the time-major buffer (7.1 and 2.6 MiB
+    # with a filled plane per component and a transpose copy)
+    assert _scan_scratch_peak_mib(name) < bound_mib
 
 
 def test_strong_error_memory_bounded_in_reps():
