@@ -12,7 +12,7 @@ word i % 4 at counter (i // 4, 0, 0, 1), which a Generator would need
     l = 0..L (< 2^63)    normal  run --variant classical, level l
     l = 0..L             bits    run, bit-based variants, level l
     ORACLE_STREAM        bits    oracle --mc-reps, = 2^63 + 1
-    TOP_STREAM - m       normal  strong-error discretization, m < 2^59
+    TOP_STREAM - m       normal  strong-error discretization, m < 2^56
     TOP_STREAM           bits    strong-error quantization, = 2^64 - 1
 
 Dyadic uniforms live on the grid of cell midpoints
@@ -25,6 +25,7 @@ which is the ground truth of the exact enumeration checks.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -36,11 +37,16 @@ TOP_STREAM = (1 << 64) - 1
 
 
 def key_word(name: str, value) -> int:
-    """value as a Philox key word, never masked: -1 would alias 2^64 - 1."""
-    value = int(value)
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
-    return value
+    """value, an integer or its decimal text, as a Philox key word, never
+    masked: -1 would alias 2^64 - 1. 1.5 or '1.5' is refused, not cut."""
+    try:
+        word = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer in [0, 2^64), got "
+                         f"{value!r}") from None
+    if not 0 <= word < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {word}")
+    return word
 
 
 def generator(seed: int, stream_id: int) -> "np.random.Generator":

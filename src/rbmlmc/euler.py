@@ -15,6 +15,7 @@ from operator import add
 import numpy as np
 
 from .bitsource import TOP_STREAM, BitSource, generator
+from .errors import FeasibilityError
 from .ledger import CostLedger
 from .qnormal import (MAX_DEPTH, normal_quantile, quantize_normal,
                       quantized_increments)
@@ -202,7 +203,7 @@ def coarse_from_fine(increments: np.ndarray) -> np.ndarray:
 
 
 def quantized_increments_from_normals(normals: np.ndarray, m: int, q: int,
-                                      cells=None) -> np.ndarray:
+                                      cells) -> np.ndarray:
     """Common-randomness coupling: given the standard normals Y behind the
     classical increments V = m^{-1/2} Y, return m^{-1/2} Y^(q), the
     bit-scheme increments quantized to depth q from the same normals.
@@ -277,8 +278,13 @@ def gbm_strong_error_vs_exact(p: SDEProblem, m: int, reps: int,
                          f"and a0 = b0 = 0")
     mu, sigma, x0 = p.A[0, 0], p.B[0, 0, 0], p.x0[0]
     mf = m * _REFINE
-    # the grid comes before the stream: at m >= 2^59 it cannot be indexed,
-    # so no stream id TOP_STREAM - m of such an m is formed
+    # the grid t, the largest array once blocks hold one path, must fit
+    # numpy's index: refused before the grid and the stream, so no stream
+    # id TOP_STREAM - m of such an m (m >= 2^56) is formed
+    nbytes = (mf + 1) * 8
+    if nbytes > np.iinfo(np.intp).max:
+        raise FeasibilityError(f"discretization row m = {m} needs one array "
+                               f"of about 2^{nbytes.bit_length() - 1} bytes")
     t = np.arange(mf + 1) / mf
     rng = generator(seed, TOP_STREAM - m)
     # Euler path linearly interpolated onto the fine grid.

@@ -14,9 +14,9 @@ the depth-q' cell without its last q' - q bits, and cells=(k, q') hands
 them to quantize_normal.
 
 The CDF and quantile are scipy's ndtr and ndtri: atoms are within a few ulps
-and odd bit for bit. For q <= 20 they are read from one cached, read-only
-table per depth, grid_atoms(q); deeper ones come from the quantile itself.
-Cells are kept in the narrowest signed integer type of their depth.
+and odd bit for bit. quantized_increments is the one map from cells to atoms:
+for q <= 20 it reads one cached, read-only table per depth, grid_atoms(q),
+and deeper ones come from the quantile itself.
 
 scipy.special is imported inside the functions that call it, so only the
 commands that map normals pay for loading it.
@@ -78,7 +78,7 @@ def quantize_normal(y, q: int, cells=None):
             raise ValueError(f"cells of depth {depth} cannot give depth {q}")
         k = k >> (depth - q)
     # [()] gives a float for a 0-d y and the array itself otherwise
-    return quantized_normals(k, q)[()]
+    return quantized_increments(k, q, 1)[()]
 
 
 _MAX_GRID_Q = 20
@@ -87,22 +87,14 @@ _MAX_GRID_Q = 20
 MAX_DEPTH = 52
 
 
-def quantized_normals(nums, q: int) -> np.ndarray:
-    """Atoms quantile((k + 1/2) / 2^q) at numerators k: for q <= 20 a lookup
-    into the cached grid_atoms(q) table (the same floats), else the formula."""
-    if q <= _MAX_GRID_Q:
-        return grid_atoms(q)[nums]
-    return normal_quantile((nums + 0.5) / 2.0 ** q)
-
-
 def quantized_increments(nums, q: int, m: int) -> np.ndarray:
     """Increments m^{-1/2} Y^(q) over steps 1/m at numerators nums, laid out
     in memory as nums is: for q <= 20 one gather from grid_atoms(q) /
     sqrt(m), one division per atom, else the atoms divided in place; the
-    same floats either way."""
+    same floats either way. Dividing by sqrt(1) is exact: m = 1 gives Y^(q)."""
     if q <= _MAX_GRID_Q:
         return (grid_atoms(q) / np.sqrt(m))[nums]
-    v = quantized_normals(nums, q)
+    v = normal_quantile((nums + 0.5) / 2.0 ** q)
     v /= np.sqrt(m)
     return v
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,15 @@ def test_key_words_outside_64_bits_raise(seed, stream):
     for make in (BitSource, generator):
         with pytest.raises(ValueError, match=rf"\[0, 2\^64\), got {bad}$"):
             make(seed, stream)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1.5", 2.0, "0x10", None])
+def test_key_words_that_are_no_integers_raise(bad):
+    # int() would cut 1.5 to seed 1; the message names the value given
+    for make in (BitSource, generator):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in "
+                           rf"\[0, 2\^64\), got {re.escape(repr(bad))}$"):
+            make(bad, 0)
 
 
 def test_key_word_range_ends_are_accepted():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -37,6 +38,19 @@ def test_run_bit_stdout(capsys):
     assert rows[1][9] == "15072"  # bit_count for eps = 1/4, d = 1
     # level columns carry L+1 = 7 entries
     assert len(rows[1][6].split(";")) == 7
+
+
+def test_run_timing_fills_only_wall_time(capsys):
+    args = ["run", "--variant", "bbit", "--eps", "0.25", "--seeds", "0,1",
+            "--out", "-"]
+    plain = parse_csv(run_cli(args, capsys)[1])
+    timed = parse_csv(run_cli(args + ["--timing"], capsys)[1])
+    assert len(timed) == len(plain) == 3
+    assert timed[0] == plain[0] and plain[0][-1] == "wall_time_ms"
+    for got, want in zip(timed[1:], plain[1:]):
+        # a positive decimal with three places; every other cell as before
+        assert re.fullmatch(r"\d+\.\d{3}", got[-1]) and float(got[-1]) > 0
+        assert want[-1] == "0" and got[:-1] == want[:-1]
 
 
 def test_run_is_byte_reproducible(capsys):
@@ -93,6 +107,9 @@ def test_run_missing_eps_exit_2(capsys):
     assert code == 2
 
 
+# a seed that is no integer is refused by name, not by int()'s message
+SEED_NOT_INTEGER = ["run", "--variant", "bit", "--eps", "0.25", "--seeds",
+                    "0,1.5"]
 # Configuration errors: each must exit 2 before any CSV is written, with
 # no traceback and no silently aliased seed.
 BAD_CONFIGS = [
@@ -118,6 +135,7 @@ BAD_CONFIGS = [
     ["run", "--variant", "bit", "--eps", "0.25", "--seeds", ","],
     ["run", "--variant", "bbit", "--eps", "0.25", "--seeds", "1,1"],
     ["run", "--variant", "bbit", "--eps", "0.25", "--seeds", "1,01"],
+    SEED_NOT_INTEGER,
     ["run", "--variant", "bit", "--eps", "1e-7", "--seeds", "0"],  # q = 53
     ["oracle", "--m", "2", "--q", "1", "--mc-reps", "-1"],
     ["strong-error", "--mode", "discretization", "--m-min", "1", "--m-max",
@@ -241,6 +259,29 @@ def test_run_infeasible_schedule_exit_3(capsys, tmp_path):
         assert not target.exists()
 
 
+def test_seed_not_integer_message_names_the_seed(capsys):
+    code, _, err = run_cli(SEED_NOT_INTEGER + ["--out", "-"], capsys)
+    assert code == 2
+    assert err == ("configuration error: seed must be an integer in "
+                   "[0, 2^64), got '1.5'\n")
+
+
+def test_strong_error_huge_discretization_row_exit_3(capsys, tmp_path):
+    # from m = 2^56 the row's refined grid has more bytes than one numpy
+    # array can index: refused by its m, not by numpy's message (exit 2)
+    for m in (2 ** 56, 2 ** 59, 2 ** 64):
+        args = ["strong-error", "--mode", "discretization", "--m-min",
+                str(m), "--m-max", str(m), "--reps", "1"]
+        code, out, err = run_cli(args + ["--out", "-"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"feasibility error: discretization row "
+                              f"m = {m} needs one array of about 2^")
+        assert err.count("\n") == 1
+        target = tmp_path / "out.csv"
+        assert run_cli(args + ["--out", str(target)], capsys)[0] == 3
+        assert not target.exists()
+
+
 def test_seed_range_ends_are_accepted(capsys):
     for variant in ("classical", "bit"):
         code, out, _ = run_cli(["run", "--variant", variant, "--eps", "0.25",
@@ -282,7 +323,12 @@ def test_run_csv_matches_baseline_hashes(capsys):
           "0,1,2"], "184121468544cbc5"),
         (["run", "--variant", "bbit-log", "--sde", "linear2d",
           "--functional", "running_max", "--eps", "0.0625", "--seeds",
-          "0,1,2"], "e47d84d749bd5a30")]
+          "0,1,2"], "e47d84d749bd5a30"),
+        # depths 19..22 and q = 21 straddle the end of the atom tables at
+        # q = 20: table or formula, the one kernel gives the same floats
+        (["strong-error", "--mode", "quantization", "--m", "4", "--reps",
+          "64", "--q-min", "19", "--q-max", "22"], "274afdafd0927361"),
+        (["oracle", "--m", "1", "--q", "21"], "a093e82b66d34f88")]
     # oracle and bakhvalov-check output, pinned when the mismatch oracle
     # and the grid moments left the package; the oracle's Monte Carlo side
     # repinned when bit streams moved to Philox, and when it left level 0's

@@ -13,7 +13,7 @@ from scipy.special import ndtr, ndtri
 
 from rbmlmc.qnormal import (_MAX_GRID_Q, MAX_DEPTH, grid_atoms,
                             normal_cells, normal_quantile, quantize_normal,
-                            quantized_increments, quantized_normals)
+                            quantized_increments)
 
 # Reference CDF values frozen from a 30-digit mpmath computation.
 CDF_REFS = {
@@ -205,7 +205,7 @@ def test_atom_table_equals_formula_bitwise():
     for q in range(1, 22):  # q = 21 takes the formula path
         for shape in ((1000,), (4, 5, 3)):
             k = rng.integers(0, 1 << q, size=shape)
-            got = quantized_normals(k, q)
+            got = quantized_increments(k, q, 1)
             want = normal_quantile((k + 0.5) / 2 ** q)
             assert got.shape == shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -219,8 +219,8 @@ def test_atom_table_equals_formula_bitwise():
 
 def test_quantized_increments_are_atoms_over_sqrt_m_bitwise():
     # q <= 20 gathers from the table divided by sqrt(m), q = 21 divides the
-    # formula's atoms: the same floats, in the index's shape and memory
-    # order, for a C-ordered index and for a transposed view alike
+    # formula's atoms: the formula's floats over sqrt(m), in the index's
+    # shape and memory order, for a C-ordered index and a transposed view
     rng = np.random.default_rng(2030)
     for q in (1, 9, 16, 20, 21):
         k = rng.integers(0, 1 << q, size=(5, 4, 3))
@@ -229,7 +229,7 @@ def test_quantized_increments_are_atoms_over_sqrt_m_bitwise():
             nums = k.transpose(axes)
             for m in (1, 3, 32, 1024):
                 got = quantized_increments(nums, q, m)
-                want = quantized_normals(nums, q) / np.sqrt(m)
+                want = normal_quantile((nums + 0.5) / 2 ** q) / np.sqrt(m)
                 assert got.shape == nums.shape
                 assert got.transpose(np.argsort(axes)).flags.c_contiguous
                 assert np.array_equal(got.view(np.int64),
