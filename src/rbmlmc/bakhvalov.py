@@ -18,6 +18,12 @@ uses. Two distinct indices differ in some slot, whose two generators are
 independent of each other and of every other pick, so each output pair is
 jointly uniform; small n*q are checked exactly by enumerating all
 generator realizations.
+
+The sums run in the narrowest unsigned type that holds q bits: uint8 for
+q <= 8, uint16, uint32, and uint64 above 32. Its modulus is a multiple of
+2^q, so sums that wrap around are still exact mod 2^q; the mask is applied
+only when q is below the type's width, and the outputs are returned as
+int64. Depths outside 1..63, the range of the bit draw, raise ValueError.
 """
 
 from collections import namedtuple
@@ -37,13 +43,21 @@ def _slot_sums(slots: np.ndarray, q: int, count: int | None) -> np.ndarray:
     if count is not None and not 1 <= count <= radix ** n_slots:
         raise ValueError(f"count must lie in [1, {radix ** n_slots}], "
                          f"got {count}")
-    out = np.full(slots.shape[1:-2] + (1, slots.shape[-1]), n_slots - 1,
-                  dtype=np.int64)
+    if not 1 <= q <= 63:
+        raise ValueError(f"depth q = {q} is outside 1..63")
+    mask = (1 << q) - 1
+    dtype = np.min_scalar_type(mask)  # 2^q divides its modulus
+    slots = slots.astype(dtype)
+    out = np.full(slots.shape[1:-2] + (1, slots.shape[-1]),
+                  (n_slots - 1) & mask, dtype=dtype)
     for s in slots:  # next more significant digit, up to the count
         k = radix if count is None else min(radix, -(-count // out.shape[-2]))
         out = s[..., :k, None, :] + out[..., None, :, :]
         out = out.reshape(out.shape[:-3] + (-1, out.shape[-1]))
-    return out[..., :count, :] & ((1 << q) - 1)
+    out = out[..., :count, :]
+    if q < 8 * dtype.itemsize:
+        out &= mask
+    return out.astype(np.int64)
 
 
 def quadratic_outputs(g: np.ndarray, q: int,

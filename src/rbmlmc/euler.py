@@ -285,23 +285,29 @@ def gbm_strong_error_vs_exact(p: SDEProblem, m: int, reps: int,
     if nbytes > np.iinfo(np.intp).max:
         raise FeasibilityError(f"discretization row m = {m} needs one array "
                                f"of about 2^{nbytes.bit_length() - 1} bytes")
-    t = np.arange(mf + 1) / mf
-    rng = generator(seed, TOP_STREAM - m)
-    # Euler path linearly interpolated onto the fine grid.
-    k_idx = np.minimum((t * m).astype(np.int64), m - 1)
-    wgt = t * m - k_idx
-    sups = np.empty(reps)
-    size = min(_STRONG_BLOCK, max(1, _REFINED_NORMALS // mf))
-    for i in range(0, reps, size):
-        n = min(size, reps - i)
-        dw = rng.standard_normal((n, mf)) / math.sqrt(mf)
-        w = np.concatenate([np.zeros((n, 1)), np.cumsum(dw, axis=1)], axis=1)
-        exact = x0 * np.exp((mu - 0.5 * sigma * sigma) * t + sigma * w)
-        v = dw.reshape(n, m, _REFINE, 1).sum(axis=2)
-        x = euler_paths_batch(p, v)[:, :, 0]
-        euler_fine = (1.0 - wgt) * x[:, k_idx] + wgt * x[:, k_idx + 1]
-        sups[i:i + n] = sup_distance_batch(exact[..., None],
-                                           euler_fine[..., None])
+    # below that a row may still not fit this machine: say which row
+    try:
+        t = np.arange(mf + 1) / mf
+        rng = generator(seed, TOP_STREAM - m)
+        # Euler path linearly interpolated onto the fine grid.
+        k_idx = np.minimum((t * m).astype(np.int64), m - 1)
+        wgt = t * m - k_idx
+        sups = np.empty(reps)
+        size = min(_STRONG_BLOCK, max(1, _REFINED_NORMALS // mf))
+        for i in range(0, reps, size):
+            n = min(size, reps - i)
+            dw = rng.standard_normal((n, mf)) / math.sqrt(mf)
+            w = np.concatenate([np.zeros((n, 1)), np.cumsum(dw, axis=1)],
+                               axis=1)
+            exact = x0 * np.exp((mu - 0.5 * sigma * sigma) * t + sigma * w)
+            v = dw.reshape(n, m, _REFINE, 1).sum(axis=2)
+            x = euler_paths_batch(p, v)[:, :, 0]
+            euler_fine = (1.0 - wgt) * x[:, k_idx] + wgt * x[:, k_idx + 1]
+            sups[i:i + n] = sup_distance_batch(exact[..., None],
+                                               euler_fine[..., None])
+    except MemoryError as exc:
+        raise FeasibilityError(f"discretization row m = {m}: out of memory: "
+                               f"{exc}") from exc
     return float(np.mean(sups ** 2))
 
 

@@ -91,9 +91,11 @@ def quantized_increments(nums, q: int, m: int) -> np.ndarray:
     """Increments m^{-1/2} Y^(q) over steps 1/m at numerators nums, laid out
     in memory as nums is: for q <= 20 one gather from grid_atoms(q) /
     sqrt(m), one division per atom, else the atoms divided in place; the
-    same floats either way. Dividing by sqrt(1) is exact: m = 1 gives Y^(q)."""
+    same floats either way. Dividing by sqrt(1) is exact, so m = 1 gathers
+    Y^(q) from the cached table itself."""
     if q <= _MAX_GRID_Q:
-        return (grid_atoms(q) / np.sqrt(m))[nums]
+        atoms = grid_atoms(q)
+        return (atoms if m == 1 else atoms / np.sqrt(m))[nums]
     v = normal_quantile((nums + 0.5) / 2.0 ** q)
     v /= np.sqrt(m)
     return v

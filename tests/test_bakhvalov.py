@@ -251,6 +251,53 @@ def test_trimmed_combine_memory(n, width, count):
     assert peak < 4 * out.nbytes
 
 
+@pytest.mark.parametrize("variant", ["quadratic", "logarithmic"])
+@pytest.mark.parametrize("q", [7, 8, 9, 15, 16, 17, 31, 32, 33, 52])
+def test_narrow_slot_sums_equal_frozen_copies(q, variant):
+    # the sums run in the narrowest unsigned type of q bits; generators at
+    # 2^q - 1 carry past q bits, and past the type's width where q fills it
+    for n in range(1, 7):
+        for lead in ((), (3,)):
+            g = np.full(lead + (2, n, 2), (1 << q) - 1, dtype=np.int64)
+            if variant == "quadratic":
+                ref = _frozen_quadratic(g[..., 0, :, :], g[..., 1, :, :], q)
+            else:
+                ref = _frozen_logarithmic(g, q)
+            combine = bakhvalov.FAMILIES[variant].combine
+            assert ref.dtype == np.int64
+            _assert_same(combine(g, q), ref)
+            for count in range(1, ref.shape[-2] + 1):
+                _assert_same(combine(g, q, count), ref[..., :count, :])
+
+
+@pytest.mark.parametrize("q", [-1, 0, 64, 65, 100])
+def test_depth_outside_the_draws_range_raises(q):
+    g = np.zeros((2, 3, 1), dtype=np.int64)
+    for combine in (quadratic_outputs, logarithmic_outputs):
+        with pytest.raises(ValueError, match=f"q = {q} is outside 1..63"):
+            combine(g, q)
+    # the ends of the range are kept: 1 bit, and 63 bits in uint64
+    _assert_same(quadratic_outputs(g, 1), np.ones((9, 1), dtype=np.int64))
+    _assert_same(logarithmic_outputs(g + ((1 << 63) - 1), 63),
+                 np.full((8, 1), (1 << 63) - 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n, width, count, q",
+                         [(5, 65536, 17, 16), (10, 4096, 1024, 23)])
+def test_narrow_combine_memory(n, width, count, q):
+    # the slot sums take q bits per output, not 64: the peak is the int64
+    # result plus its narrow source (int64 sums peaked at 2.88x and 2.00x)
+    g = np.random.default_rng(0).integers(0, 1 << q, size=(2, n, width))
+    tracemalloc.start()
+    try:
+        out = logarithmic_outputs(g, q, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (count, width) and out.dtype == np.int64
+    assert peak < 1.75 * out.nbytes
+
+
 def test_unknown_family_raises_before_any_work():
     # n = 7 would be refused as infeasible for either family
     for n in (2, 7):

@@ -282,6 +282,19 @@ def test_strong_error_huge_discretization_row_exit_3(capsys, tmp_path):
         assert not target.exists()
 
 
+def test_strong_error_unallocatable_discretization_row_names_m(capsys):
+    # m = 2^55 passes the index check, but its grid of 2^59 + 1 float64s
+    # (4 EiB) is refused by the allocator at once: exit 3, naming the row
+    m = 2 ** 55
+    code, out, err = run_cli(["strong-error", "--mode", "discretization",
+                              "--m-min", str(m), "--m-max", str(m),
+                              "--reps", "1", "--out", "-"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"feasibility error: discretization row m = {m}: "
+                          f"out of memory: ")
+    assert err.count("\n") == 1
+
+
 def test_seed_range_ends_are_accepted(capsys):
     for variant in ("classical", "bit"):
         code, out, _ = run_cli(["run", "--variant", variant, "--eps", "0.25",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,21 @@ def test_quantized_increments_are_atoms_over_sqrt_m_bitwise():
                 assert got.transpose(np.argsort(axes)).flags.c_contiguous
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), (q, m)
+
+
+def test_quantize_normal_reads_the_cached_table_at_m_1():
+    # m = 1 gathers from grid_atoms(q) itself: reading one atom of the
+    # 8 MiB q = 20 table builds no copy of it
+    grid_atoms(20)
+    quantize_normal(0.3, 20)  # scipy's first call allocates on its own
+    tracemalloc.start()
+    try:
+        atom = quantize_normal(0.3, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert atom == grid_atoms(20)[normal_cells(0.3, 20)]
+    assert peak < 64 * 1024
 
 
 def test_atoms_within_4_ulps_of_references():
