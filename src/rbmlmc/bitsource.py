@@ -85,7 +85,7 @@ class BitSource:
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         if any(n < 0 for n in shape):
             raise ValueError(f"shape must be non-negative, got {shape}")
-        total = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        total = math.prod(shape)
         per = math.lcm(q, 64)
         P, K = per // 64, per // q
         periods = -(-total // K)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bakhvalov, euler, functionals, mlmc, oracle, sde
 from .bitsource import ORACLE_STREAM, BitSource, key_word
-from .errors import FeasibilityError
+from .errors import FeasibilityError, check_indexable
 from .qnormal import MAX_DEPTH
 
 
@@ -192,6 +192,8 @@ def cmd_oracle(args) -> int:
     if coupled and args.m % 2 != 0:
         raise ValueError(f"--kind level-difference needs an even --m, "
                          f"got {args.m}")
+    check_indexable(args.mc_reps * (args.m + 1) * max(problem.d, problem.r)
+                    * 8, f"--mc-reps {args.mc_reps} at --m {args.m}")
     mean, var = oracle.exact_level_values(problem, f, args.m, args.q, coupled)
     mc_mean = z = ""
     if args.mc_reps:

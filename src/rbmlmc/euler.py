@@ -15,7 +15,7 @@ from operator import add
 import numpy as np
 
 from .bitsource import TOP_STREAM, BitSource, generator
-from .errors import FeasibilityError
+from .errors import FeasibilityError, check_indexable
 from .ledger import CostLedger
 from .qnormal import (MAX_DEPTH, normal_quantile, quantize_normal,
                       quantized_increments)
@@ -236,9 +236,13 @@ def bit_vs_classical_sup_sq(p: SDEProblem, m: int, qs, reps: int,
     distances, so each mean is independent of the block size and of the
     other depths in qs and their order.
     """
+    # sups and a block's paths must fit numpy's index, refused by reps or m
+    size = min(reps, max(1, _STRONG_NORMALS // (m * p.d)))
+    check_indexable(len(qs) * reps * 8, f"quantization sweep reps = {reps}")
+    check_indexable(size * (m + 1) * max(p.d, p.r) * 8,
+                    f"quantization sweep m = {m}")
     src = BitSource(seed, TOP_STREAM)
     sups = np.empty((len(qs), reps))
-    size = min(reps, max(1, _STRONG_NORMALS // (m * p.d)))
     for i in range(0, reps, size):
         k = src.draw_dyadic_numerators(MAX_DEPTH,
                                        (min(size, reps - i), m, p.d))
@@ -278,13 +282,11 @@ def gbm_strong_error_vs_exact(p: SDEProblem, m: int, reps: int,
                          f"and a0 = b0 = 0")
     mu, sigma, x0 = p.A[0, 0], p.B[0, 0, 0], p.x0[0]
     mf = m * _REFINE
-    # the grid t, the largest array once blocks hold one path, must fit
-    # numpy's index: refused before the grid and the stream, so no stream
-    # id TOP_STREAM - m of such an m (m >= 2^56) is formed
-    nbytes = (mf + 1) * 8
-    if nbytes > np.iinfo(np.intp).max:
-        raise FeasibilityError(f"discretization row m = {m} needs one array "
-                               f"of about 2^{nbytes.bit_length() - 1} bytes")
+    # the grid t, the largest array once blocks hold one path, and the reps
+    # sup distances must fit numpy's index: refused before the grid and the
+    # stream, so no stream id TOP_STREAM - m of such an m (m >= 2^56) is formed
+    check_indexable((mf + 1) * 8, f"discretization row m = {m}")
+    check_indexable(reps * 8, f"discretization row m = {m}, reps = {reps}")
     # below that a row may still not fit this machine: say which row
     try:
         t = np.arange(mf + 1) / mf

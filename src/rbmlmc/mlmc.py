@@ -30,7 +30,7 @@ import numpy as np
 
 from .bakhvalov import logarithmic_outputs, quadratic_outputs
 from .bitsource import BitSource, generator
-from .errors import FeasibilityError
+from .errors import check_indexable
 from .euler import (bit_increments, classical_increments, coarse_from_fine,
                     euler_paths_batch)
 from .functionals import Functional
@@ -162,10 +162,8 @@ def run(p: SDEProblem, f: Functional, params: MLMCParams,
                          f"{MAX_DEPTH}")
     # a level's largest array, increments or paths, must fit numpy's index
     for level, N in enumerate(params.N):
-        nbytes = N * ((1 << level) + 1) * max(p.d, p.r) * 8
-        if nbytes > np.iinfo(np.intp).max:
-            raise FeasibilityError(f"level {level} needs one array of about "
-                                   f"2^{nbytes.bit_length() - 1} bytes")
+        check_indexable(N * ((1 << level) + 1) * max(p.d, p.r) * 8,
+                        f"level {level}")
     ledger = CostLedger()
     levels = []
     estimate = 0.0

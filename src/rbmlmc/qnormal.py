@@ -6,12 +6,12 @@ and pulling back through the quantile function. Its distribution is uniform
 over the 2^q atoms quantile((k + 1/2) / 2^q), k = 0..2^q-1, so q fair bits
 suffice to sample it.
 
-The cell k = floor(ndtr(y) 2^q) is the primitive: normal_cells finds it,
-and quantize_normal reads the atom there. Cells nest. Scaling by 2^q is
-exact in binary64, so floor(x 2^q') >> (q' - q) = floor(x 2^q) for q <= q',
-and the clamp to the top cell commutes with the shift: the depth-q cell is
-the depth-q' cell without its last q' - q bits, and cells=(k, q') hands
-them to quantize_normal.
+quantize_normal finds the cell k = min(floor(ndtr(y) 2^q), 2^q - 1) of y,
+an intp like every other numerator, and reads the atom there. Cells nest.
+Scaling by 2^q is exact in binary64, so floor(x 2^q') >> (q' - q) =
+floor(x 2^q) for q <= q', and the clamp to the top cell commutes with the
+shift: the depth-q cell is the depth-q' cell without its last q' - q bits,
+and cells=(k, q') hands them to quantize_normal.
 
 The CDF and quantile are scipy's ndtr and ndtri: atoms are within a few ulps
 and odd bit for bit. quantized_increments is the one map from cells to atoms:
@@ -39,39 +39,24 @@ def normal_quantile(u):
     return ndtri(arr)
 
 
-def _check_depth(q: int) -> None:
-    if not 1 <= q <= MAX_DEPTH:
-        raise ValueError(f"quantization depth q = {q} is outside "
-                         f"1..{MAX_DEPTH}")
-
-
-def normal_cells(y, q: int) -> np.ndarray:
-    """The cell k = floor(ndtr(y) 2^q) of each y, ndtr(y) == 1.0 clamped to
-    the top cell: an array of y's shape in the narrowest signed integer type
-    of depth q. A NaN in y raises ValueError."""
-    _check_depth(q)
-    y = np.asarray(y, dtype=float)
-    # min propagates NaN; initial keeps an empty y valid
-    if np.isnan(np.min(y, initial=0.0)):
-        raise ValueError("y contains NaN")
-    from scipy.special import ndtr  # lazy, as ndtri in normal_quantile
-    # 2^q is a power of two, so the scaling is exact and floor is safe on
-    # cell boundaries (a boundary value goes to the upper cell).
-    x = ndtr(y.reshape(-1))
-    x *= 1 << q
-    np.floor(x, out=x)
-    np.minimum(x, (1 << q) - 1, out=x)
-    return x.astype(np.int16 if q <= 15 else np.int32 if q <= 31
-                    else np.int64).reshape(y.shape)
-
-
 def quantize_normal(y, q: int, cells=None):
     """Quantized normal: quantile(round(cdf(y))) on the 2^q-atom grid, the
-    atoms at normal_cells(y, q). cells=(k, depth), y's cells
-    normal_cells(y, depth) at some depth >= q, skips finding them: the
-    depth-q cells are k >> (depth - q)."""
+    atom at y's cell, ndtr(y) == 1.0 clamped to the top cell; a NaN in y
+    raises ValueError. cells=(k, depth), y's cells at some depth >= q, skips
+    finding them: the depth-q cells are k >> (depth - q)."""
     if cells is None:
-        k = normal_cells(y, q)
+        if not 1 <= q <= MAX_DEPTH:
+            raise ValueError(f"quantization depth q = {q} is outside "
+                             f"1..{MAX_DEPTH}")
+        y = np.asarray(y, dtype=float)
+        # min propagates NaN; initial keeps an empty y valid
+        if np.isnan(np.min(y, initial=0.0)):
+            raise ValueError("y contains NaN")
+        from scipy.special import ndtr  # lazy, as ndtri in normal_quantile
+        # 2^q is a power of two, so the scaling is exact and floor is safe on
+        # cell boundaries (a boundary value goes to the upper cell).
+        k = np.minimum(np.floor(ndtr(y) * (1 << q)),
+                       (1 << q) - 1).astype(np.intp)
     else:
         k, depth = cells
         if not 1 <= q <= depth:

@@ -57,7 +57,7 @@ _LIN2D_C = np.array([[0.3, 0.05], [0.0, 0.25]])
 def make_linear2d() -> SDEProblem:
     """2d linear system with constant-plus-diagonal-linear diffusion."""
     # B[i, i, i] = 0.1: the diagonal of the diffusion grows with its own
-    # coordinate; gamma is the drift matrix's spectral norm (~0.51).
+    # coordinate.
     B = np.zeros((2, 2, 2))
     B[0, 0, 0] = B[1, 1, 1] = 0.1
     return _affine("linear2d", [1.0, 1.0], _LIN2D_A, B, _LIN2D_C)

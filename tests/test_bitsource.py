@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,19 @@ def test_numerator_draw_memory(q, offset):
     finally:
         tracemalloc.stop()
     assert peak < 3 * out.nbytes
+
+
+def test_draw_size_past_int64_is_counted_exactly():
+    # 2^63 and 2 * 10^19 numerators are counted without wrapping: their
+    # blocks, 1 and 2 EiB, are refused by the allocator at once, with no
+    # warning, and the counter does not move
+    for shape in ((2 ** 62, 2), (10 ** 19, 2)):
+        src = BitSource(0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MemoryError):
+                src.draw_dyadic_numerators(1, shape)
+        assert src.bits_consumed == 0
 
 
 @pytest.mark.parametrize("shape", [(-1,), (2, -3), -4])

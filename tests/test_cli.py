@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -276,6 +277,41 @@ def test_strong_error_huge_discretization_row_exit_3(capsys, tmp_path):
         assert code == 3 and out == ""
         assert err.startswith(f"feasibility error: discretization row "
                               f"m = {m} needs one array of about 2^")
+        assert err.count("\n") == 1
+        target = tmp_path / "out.csv"
+        assert run_cli(args + ["--out", str(target)], capsys)[0] == 3
+        assert not target.exists()
+
+
+def test_arrays_past_numpy_index_exit_3_naming_the_input(capsys, tmp_path):
+    # a quantization sweep's block of paths or its reps sup distances, a
+    # discretization row's reps sup distances and the oracle's --mc-reps
+    # paths, each past what one numpy array can index: refused by the input
+    # that asks for it before anything is drawn, not by numpy's message
+    # (exit 2) or a warning about a wrapped size
+    quant = ["strong-error", "--mode", "quantization", "--q-min", "2",
+             "--q-max", "2"]
+    oracle = ["oracle", "--m", "2", "--q", "1", "--mc-reps"]
+    cases = [
+        (quant + ["--m", str(2 ** 62), "--reps", "1"],
+         f"quantization sweep m = {2 ** 62} "),
+        (quant + ["--m", str(2 ** 64), "--reps", "1"],
+         f"quantization sweep m = {2 ** 64} "),
+        (quant + ["--m", "4", "--reps", str(2 ** 62)],
+         f"quantization sweep reps = {2 ** 62} "),
+        (["strong-error", "--mode", "discretization", "--m-min", "4",
+          "--m-max", "4", "--reps", str(2 ** 60)],
+         f"discretization row m = 4, reps = {2 ** 60} "),
+        (oracle + [str(2 ** 62)], f"--mc-reps {2 ** 62} at --m 2 "),
+        (oracle + [str(10 ** 19)], f"--mc-reps {10 ** 19} at --m 2 "),
+    ]
+    for args, names in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(args + ["--out", "-"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"feasibility error: {names}needs one array "
+                              f"of about 2^"), err
         assert err.count("\n") == 1
         target = tmp_path / "out.csv"
         assert run_cli(args + ["--out", str(target)], capsys)[0] == 3

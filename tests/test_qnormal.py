@@ -13,7 +13,7 @@ from rbmlmc.euler import bit_increments
 from scipy.special import ndtr, ndtri
 
 from rbmlmc.qnormal import (_MAX_GRID_Q, MAX_DEPTH, grid_atoms,
-                            normal_cells, normal_quantile, quantize_normal,
+                            normal_quantile, quantize_normal,
                             quantized_increments)
 
 # Reference CDF values frozen from a 30-digit mpmath computation.
@@ -248,7 +248,7 @@ def test_quantize_normal_reads_the_cached_table_at_m_1():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert atom == grid_atoms(20)[normal_cells(0.3, 20)]
+    assert atom == _frozen_quantize(0.3, 20)
     assert peak < 64 * 1024
 
 
@@ -271,11 +271,13 @@ def test_atom_grid_is_odd_bitwise():
 
 
 # Frozen copy of the quantizer: the cell floor(ndtr(y) 2^q), clamped to the
-# top cell, and the atom by the formula.
+# top cell, and the atom by the formula. _frozen_cells takes u = ndtr(y).
+def _frozen_cells(u, q):
+    return np.minimum(np.floor(u * (1 << q)).astype(np.int64), (1 << q) - 1)
+
+
 def _frozen_quantize(y, q):
-    k = np.minimum(np.floor(ndtr(y) * (1 << q)).astype(np.int64),
-                   (1 << q) - 1)
-    return ndtri((k + 0.5) / 2 ** q)
+    return ndtri((_frozen_cells(ndtr(y), q) + 0.5) / 2 ** q)
 
 
 def _assert_bitwise_frozen(y, q):
@@ -327,17 +329,18 @@ def test_depths_above_max_depth_raise():
     # at q = 53, 8.0 quantized to 7.9916 and -8.0 to -8.0023; q = 60 warned
     # of an invalid cast and q >= 64 raised OverflowError
     for q in (MAX_DEPTH + 1, 60, 64, 100):
-        for f in (normal_cells, quantize_normal):
-            with pytest.raises(ValueError, match=f"q = {q} is outside"):
-                f(8.0, q)
+        with pytest.raises(ValueError, match=f"q = {q} is outside"):
+            quantize_normal(8.0, q)
     assert quantize_normal(8.0, MAX_DEPTH) == -quantize_normal(-8.0, MAX_DEPTH)
     with pytest.raises(ValueError, match="cells of depth 3"):
-        quantize_normal(0.5, 5, cells=(normal_cells(0.5, 3), 3))
+        quantize_normal(0.5, 5, cells=(np.int64(5), 3))
 
 
 def test_cells_nest():
-    # normal_cells(y, q) is normal_cells(y, q2) without its last q2 - q
-    # bits, for depth pairs on both sides of the grid cap (20). The inputs:
+    # y's depth-q cell is its depth-q2 cell without the last q2 - q bits:
+    # quantize_normal(y, q) equals, bitwise, its read of the frozen copy's
+    # depth-q2 cells, for q in 1, 13, 20, 21 and MAX_DEPTH (both sides of
+    # the grid cap, 20) and every listed q2 >= q. The inputs:
     # every double within 300 ulps of each depth-13 boundary, which are
     # every boundary at depths <= 13 and boundaries at every deeper one; at
     # each deeper depth the same around its two outermost boundaries on
@@ -359,11 +362,13 @@ def test_cells_nest():
     last = np.concatenate([special, nines, np.nextafter(nines, 0),
                            np.nextafter(nines, 2 * nines)])
     for chunk in itertools.chain(inputs, [last]):
-        cells = {q: normal_cells(chunk, q) for q in depths}
-        for q2 in depths:
-            for q in depths[:depths.index(q2) + 1]:
-                assert np.array_equal(cells[q2] >> (q2 - q), cells[q]), \
-                    (q, q2)
+        u = ndtr(chunk)
+        cells = {q2: _frozen_cells(u, q2) for q2 in depths}
+        for q in (1, 13, 20, 21, MAX_DEPTH):
+            want = quantize_normal(chunk, q).view(np.int64)
+            for q2 in depths[depths.index(q):]:
+                got = quantize_normal(chunk, q, cells=(cells[q2], q2))
+                assert np.array_equal(got.view(np.int64), want), (q, q2)
 
 
 def test_quantize_normal_rejects_nan():
@@ -371,12 +376,3 @@ def test_quantize_normal_rejects_nan():
         for y in (np.nan, np.array([0.5, np.nan, -1.0])):
             with pytest.raises(ValueError, match="y contains NaN"):
                 quantize_normal(y, q)
-
-
-def test_normal_cells_shape_and_narrowest_dtype():
-    # int16 through depth 15, int32 through 31, int64 above; y's shape kept
-    for q, dtype in ((1, np.int16), (15, np.int16), (16, np.int32),
-                     (31, np.int32), (32, np.int64), (MAX_DEPTH, np.int64)):
-        for y in (0.25, np.zeros(0), np.full((2, 3), -0.5)):
-            k = normal_cells(y, q)
-            assert k.dtype == dtype and k.shape == np.shape(y), (q, y)
