@@ -29,7 +29,7 @@ import operator
 
 import numpy as np
 
-from .errors import FeasibilityError
+from .errors import FeasibilityError, check_indexable
 
 ENUMERATION_BIT_CAP = 24
 ORACLE_STREAM = (1 << 63) + 1
@@ -90,6 +90,9 @@ class BitSource:
         P, K = per // 64, per // q
         periods = -(-total // K)
         first, off = divmod(self.bits_consumed, 64)
+        # the blocks _blocks reads: first % 4 skipped words, then its count
+        check_indexable((first % 4 + periods * P + 1) * 8,
+                        f"a draw of q = {q} numerators of shape {shape}")
         blk = self._blocks(first, periods * P + 1)
         if off:  # realign the stream so that it starts at a block boundary
             tail = blk[1:] >> np.uint64(64 - off)

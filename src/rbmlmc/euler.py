@@ -24,7 +24,7 @@ from .sde import SDEProblem
 
 # The scan runs time chunks of T = min(m, _SCAN_STEPS) steps over balanced
 # row blocks of at most _SCAN_ELEMS // T paths, which bounds its scratch
-# memory at any m (tracemalloc peak 6.8 MiB for d = r = 2, 1.6 MiB for
+# memory at any m (tracemalloc peak 3.2 MiB for linear2d, 1.6 MiB for
 # gbm). T follows from m alone and paths are independent, so a path's floats
 # do not depend on the batch it is run in.
 _SCAN_STEPS = 1 << 10
@@ -63,22 +63,37 @@ def _blocking(t: int) -> tuple[int, int]:
 
 
 def _scan_plan(p: SDEProblem, m: int):
-    """The scan's terms that are not identically zero. Column r of a map
-    [M_k | c_k] is c_k = a0/m + b0 dW_k. M_k's pattern is closed under
-    products (prefix maps fill entries in), c's rows under c <- M c + c.
-    Per entry (i, k): constant, noise terms (b, j), the l of its products;
-    per row: its pattern columns below r, and whether c is nonzero there."""
-    nz = np.eye(p.r, dtype=bool) | (p.A != 0) | (p.B != 0).any(axis=1)
-    nz = np.linalg.matrix_power(nz, p.r)
-    nz = np.c_[nz, nz @ ((p.a0 != 0) | (p.b0 != 0).any(axis=1))]
+    """The scan's terms that are not identically zero, per strongly
+    connected component of the one-step pattern, after the ones it reads.
+    Per component: its rows; per entry (i, k) of [M_k | c_k]: constant,
+    noise terms (b, j), the l of its products (M_k's pattern is closed under
+    them), for k = r the (l, constant, noise terms) of the earlier rows read;
+    per row: its columns below r, and whether c (closed under c <- M c + c)
+    is nonzero there. c_k = a0/m + b0 dW_k comes after the earlier terms."""
+    step = np.eye(p.r, dtype=bool) | (p.A != 0) | (p.B != 0).any(axis=1)
+    reach = np.linalg.matrix_power(step, p.r)
+    own = (p.a0 != 0) | (p.b0 != 0).any(axis=1)
     const = np.c_[np.eye(p.r) + p.A / m, p.a0 / m]
     slope = np.concatenate([p.B, p.b0[:, :, None]], axis=2)
-    rows = [(np.flatnonzero(z[:-1]).tolist(), z[-1]) for z in nz]
-    maps = [(i, k, const[i, k],
-             [(b, j) for j, b in enumerate(slope[i, :, k]) if b],
-             [l for l in rows[i][0] if nz[l, k]])
-            for i in range(p.r) for k in np.flatnonzero(nz[i]).tolist()]
-    return maps, rows
+
+    def terms(i, k):
+        return const[i, k], [(b, j) for j, b in enumerate(slope[i, :, k]) if b]
+
+    plan = []
+    for comp in sorted({tuple(np.flatnonzero(z).tolist())
+                        for z in reach & reach.T},
+                       key=lambda c: (reach[c[0]].sum(), c)):
+        cross = [[(l, *terms(i, l)) for l in np.flatnonzero(step[i]).tolist()
+                  if l not in comp] for i in comp]
+        nz = reach[np.ix_(comp, comp)]
+        nz = np.c_[nz, nz @ [own[i] or x != [] for i, x in zip(comp, cross)]]
+        rows = [(np.flatnonzero(z[:-1]).tolist(), z[-1]) for z in nz]
+        cols, r = comp + (p.r,), len(comp)
+        plan.append((list(comp), [
+            (i, k, *terms(comp[i], cols[k]),
+             [l for l in rows[i][0] if nz[l, k]], cross[i] if k == r else [])
+            for i in range(r) for k in np.flatnonzero(nz[i]).tolist()], rows))
+    return plan
 
 
 def _fold(pairs, plus=None, out=None):
@@ -114,22 +129,27 @@ def _affine_scan(plan, increments: np.ndarray, states: np.ndarray,
     """Fill states[1:] (time-major, (steps, r, n)) from states[0] with the
     Euler step written as an affine map x_{k+1} = M_k x_k + c_k,
     M_k = I + A/m + sum_j B[:, j] dW_kj, for increments (n, m, d).
-    Each time chunk of T steps is split into blocks of about sqrt(T) steps:
-    prefix maps are composed inside every block at once, the block start
-    states are carried, and every state is filled in, in about 2 sqrt(T)
-    Python iterations. Floats are reassociated, so states agree with the
-    loop x + a(x)/m + b(x) dW_k to about T * 1e-16 relative. Only the terms
-    of `_scan_plan` are formed, each sum in the order of the dense sum over
-    all components, so states are the dense scan's bit for bit, except that
+    Each time chunk of T steps is split into blocks of about sqrt(T) steps
+    and runs the plan's components in order, each reading earlier rows,
+    already filled, as terms of its c: prefix maps are composed inside
+    every block at once, the block start states are carried, and every
+    state is filled in, in about 2 sqrt(T) Python iterations. Floats are
+    reassociated, so states agree with the loop x + a(x)/m + b(x) dW_k to
+    about T * 1e-16 relative. Only the terms of `_scan_plan` are formed,
+    each sum in the order of the dense sum over the component's rows, so
+    states are the dense scan's run per component bit for bit, except that
     an exact-zero state may change sign (a zero problem from x0 = -0.0
     stays -0.0; adding c = +0.0 gave +0.0) and that an absent term's
     0 * inf = nan is not formed (a gbm step with dW = inf gives inf, not
     nan). The last chunk's padding steps need states rows up to its last
     block's end.
     """
-    maps, rows = plan
     n, m, d = increments.shape
-    r = len(rows)
+
+    def planes(k, i, s, nb):
+        # state row i from step k on as (s, nb, n): first two axes swapped
+        return states[k:k + nb * s, i].reshape(nb, s, n).transpose(1, 0, 2)
+
     for k0 in range(0, m, chunk):
         t = min(chunk, m - k0)
         s, nb = _blocking(t)
@@ -140,31 +160,37 @@ def _affine_scan(plan, increments: np.ndarray, states: np.ndarray,
         if t < nb * s:
             dw = np.concatenate([dw, np.zeros((n, nb * s - t, d))], axis=1)
         dw = dw.reshape(n, nb, s, d).transpose(3, 2, 1, 0).copy()
-        # one-step maps S: planes, or s constants; in-block prefix maps
-        # M: (r, r + 1, s, nb, n), summed plane by plane, as numpy is slow on
-        # many tiny matrices; column r only if some row has a c
-        S = {(i, k): _fold([(b, dw[j]) for b, j in noise], const or None)
-             if noise else [const] * s for i, k, const, noise, _ in maps}
-        M = np.empty((r, r + any(c for _, c in rows), s, nb, n))
-        for i, k, *_ in maps:
-            M[i, k, 0] = S[i, k][0]
-        _recur([(M[i, k], [(S[i, l][1:], M[l, k]) for l in ls],
-                 S[i, k][1:] if k == r else None)
-                for i, k, _, _, ls in maps])
-        # block start states xs: (r, nb, n), carried over the blocks
-        xs = np.empty((r, nb, n))
-        xs[:, 0] = states[k0]
-        _recur([(xs[i], [(M[i, k, -1], xs[k]) for k in ks],
-                 M[i, r, -1] if c else None)
-                for i, (ks, c) in enumerate(rows)])
-        # each state straight into its row: the chunk's rows of component i
-        # are its (s, nb, n) plane with the first two axes swapped
-        for i, (ks, c) in enumerate(rows):
-            _fold([(M[i, k], xs[k]) for k in ks], M[i, r] if c else None,
-                  out=states[k0 + 1:k0 + 1 + nb * s, i]
-                  .reshape(nb, s, n).transpose(1, 0, 2))
-        # the next chunk's scratch is built after this one's is freed
-        del dw, S, M, xs
+        for idx, maps, rows in plan:
+            r = len(rows)
+            # one-step maps S: planes, or s constants; in-block prefix maps
+            # M: (r, r + 1, s, nb, n), summed plane by plane, as numpy is
+            # slow on many tiny matrices; column r only if some row has a c
+            S = {}
+            for i, k, const, noise, _, cross in maps:
+                pairs = [(_fold([(b, dw[j]) for b, j in bs], a or None)
+                          if bs else a, planes(k0, l, s, nb))
+                         for l, a, bs in cross]
+                pairs += [(b, dw[j]) for b, j in noise]
+                S[i, k] = _fold(pairs, const or None) if pairs else [const] * s
+            M = np.empty((r, r + any(c for _, c in rows), s, nb, n))
+            for i, k, *_ in maps:
+                M[i, k, 0] = S[i, k][0]
+            _recur([(M[i, k], [(S[i, l][1:], M[l, k]) for l in ls],
+                     S[i, k][1:] if k == r else None)
+                    for i, k, _, _, ls, _ in maps])
+            # block start states xs: (r, nb, n), carried over the blocks
+            xs = np.empty((r, nb, n))
+            xs[:, 0] = states[k0, idx]
+            _recur([(xs[i], [(M[i, k, -1], xs[k]) for k in ks],
+                     M[i, r, -1] if c else None)
+                    for i, (ks, c) in enumerate(rows)])
+            # each state straight into its row
+            for i, (ks, c) in enumerate(rows):
+                _fold([(M[i, k], xs[k]) for k in ks], M[i, r] if c else None,
+                      out=planes(k0 + 1, idx[i], s, nb))
+            # the next scratch is built after this one's is freed
+            del S, M, xs
+        del dw
 
 
 def classical_increments(rng: "np.random.Generator", m: int, d: int,

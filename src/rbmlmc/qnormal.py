@@ -31,9 +31,10 @@ from .errors import FeasibilityError
 
 def normal_quantile(u):
     """Inverse of the standard normal CDF (scipy's ndtr) on (0,1); raises
-    for non-interior arguments."""
+    for non-interior arguments and NaN."""
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # min and max propagate NaN; initial keeps an empty u valid
+    if not (0.0 < np.min(arr, initial=0.5) and np.max(arr, initial=0.5) < 1.0):
         raise ValueError("normal_quantile requires 0 < u < 1")
     from scipy.special import ndtri  # lazy: loading it takes ~0.25 s
     return ndtri(arr)
@@ -77,7 +78,11 @@ def quantized_increments(nums, q: int, m: int) -> np.ndarray:
     in memory as nums is: for q <= 20 one gather from grid_atoms(q) /
     sqrt(m), one division per atom, else the atoms divided in place; the
     same floats either way. Dividing by sqrt(1) is exact, so m = 1 gathers
-    Y^(q) from the cached table itself."""
+    Y^(q) from the cached table itself. Depths outside 1..MAX_DEPTH raise
+    ValueError naming q."""
+    if not 1 <= q <= MAX_DEPTH:
+        raise ValueError(f"quantization depth q = {q} is outside "
+                         f"1..{MAX_DEPTH}")
     if q <= _MAX_GRID_Q:
         atoms = grid_atoms(q)
         return (atoms if m == 1 else atoms / np.sqrt(m))[nums]

@@ -273,6 +273,20 @@ def test_draw_size_past_int64_is_counted_exactly():
         assert src.bits_consumed == 0
 
 
+def test_draw_past_numpy_index_is_a_feasibility_error():
+    # the blocks of these draws are past numpy's index: random_raw refused
+    # them with its own messages ("Maximum allowed dimension exceeded",
+    # "array is too big"); now the draw names q and the shape, before any
+    # allocation, and the counter does not move
+    for q, shape in ((1, (2 ** 70,)), (63, (2 ** 70,)), (63, (2 ** 62, 2))):
+        src = BitSource(0, 0)
+        src.draw_dyadic_numerators(5, 3)
+        with pytest.raises(FeasibilityError, match=re.escape(
+                f"q = {q} numerators of shape {shape} needs one array")):
+            src.draw_dyadic_numerators(q, shape)
+        assert src.bits_consumed == 15
+
+
 @pytest.mark.parametrize("shape", [(-1,), (2, -3), -4])
 def test_negative_dimension_leaves_counter_unchanged(shape):
     src = BitSource(6, 1)

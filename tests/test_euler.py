@@ -75,7 +75,7 @@ def test_states_are_time_major_for_either_increment_layout():
             x = euler_paths_batch(p, inc)
             assert x.shape == (5, m + 1, 2)
             assert x.transpose(1, 2, 0).flags.c_contiguous
-            assert _same_bits(x, _dense_paths(p, v))
+            assert _same_bits(x, _component_paths(p, v))
 
 
 def test_bit_increment_single_value():
@@ -377,6 +377,13 @@ def test_scan_fills_states_in_place(name, bound_mib):
     assert _scan_scratch_peak_mib(name) < bound_mib
 
 
+def test_component_scan_scratch_bounded():
+    # linear2d runs as two one-row components, and a component's scratch is
+    # freed before the next one's is built: 3.2 MiB at each shape, where
+    # composing both rows at once read 6.8 MiB
+    assert _scan_scratch_peak_mib("linear2d") < 4.0
+
+
 def test_strong_error_memory_bounded_in_reps():
     # The replications run in fixed blocks: at reps=2000, m=1024 every
     # (reps, 16 m + 1) array would be 262 MB.
@@ -472,6 +479,75 @@ def _dense_paths(p, increments):
     return out
 
 
+# Frozen component reference: the dense scan run on each strongly connected
+# component of the one-step pattern, every component after the ones it reads.
+# A component's c starts with the terms of the earlier rows, summed over them
+# in row order, then b0 dW and a0 / m, added left to right; every other sum
+# is dense, over the component's rows. Padding steps read zero states.
+def _components(p):
+    step = np.eye(p.r, dtype=bool) | (p.A != 0) | (p.B != 0).any(axis=1)
+    reach = step
+    for _ in range(p.r):
+        reach = reach | (reach.astype(int) @ step.astype(int) > 0)
+    comps = {tuple(i for i in range(p.r) if reach[i, k] and reach[k, i])
+             for k in range(p.r)}
+    return sorted(comps, key=lambda c: (reach[c[0]].sum(), c))
+
+
+def _component_scan(p, increments, out, chunk):
+    n, m, d = increments.shape
+    comps = _components(p)
+    I_A = np.eye(p.r) + p.A / m
+    for k0 in range(0, m, chunk):
+        t = min(chunk, m - k0)
+        s = 1 << (t.bit_length() // 2)
+        nb = -(-t // s)
+        dw = np.zeros((n, nb * s, d))
+        dw[:, :t] = increments[:, k0:k0 + t]
+        dw = dw.reshape(n, nb, s, d).transpose(3, 2, 0, 1).copy()
+        earlier = []
+        for R in comps:
+            rows = range(len(R))
+            # one-step entries S[i, l] for the component's rows and all l
+            S = I_A[list(R)][:, :, None, None, None] + reduce(add, (
+                p.B[list(R), j][:, :, None, None, None] * dw[j]
+                for j in range(d)))
+            M = S[:, list(R)]
+            prev = np.zeros((n, nb * s, p.r))
+            prev[:, :t] = out[:, k0:k0 + t]
+            prev = prev.reshape(n, nb, s, p.r).transpose(3, 2, 0, 1)
+            c = reduce(add, [S[:, l] * prev[l] for l in sorted(earlier)] + [
+                p.b0[list(R), j, None, None, None] * dw[j]
+                for j in range(d)]) + (p.a0[list(R)] / m)[:, None, None,
+                                                             None]
+            for j in range(1, s):
+                mj = M[:, :, j]
+                c[:, j] += reduce(add, (mj[:, k] * c[k, j - 1] for k in rows))
+                M[:, :, j] = reduce(add, (mj[:, k, None] * M[k, :, j - 1]
+                                          for k in rows))
+            xs = np.empty((len(R), n, nb))
+            xs[:, :, 0] = out[:, k0, list(R)].T
+            for b in range(1, nb):
+                xs[:, :, b] = c[:, -1, :, b - 1] + reduce(add, (
+                    M[:, k, -1, :, b - 1] * xs[k, :, b - 1] for k in rows))
+            x = c + reduce(add, (M[:, k] * xs[k] for k in rows))
+            out[:, k0 + 1:k0 + 1 + t, list(R)] = x.transpose(2, 3, 1, 0) \
+                .reshape(n, nb * s, len(R))[:, :t]
+            earlier += R
+
+
+def _component_paths(p, increments):
+    n, m, _ = increments.shape
+    out = np.empty((n, m + 1, p.r))
+    out[:, 0, :] = p.x0
+    chunk = max(1, min(m, _SCAN_STEPS))
+    blocks = -(-n // (_SCAN_ELEMS // chunk))
+    for i in range(blocks):
+        rows = slice(i * n // blocks, (i + 1) * n // blocks)
+        _component_scan(p, increments[rows], out[rows], chunk)
+    return out
+
+
 def _sequential_paths(p, increments):
     """The Euler loop x + (A x + a0)/m + (B x + b0) dW on the problem's
     coefficient data."""
@@ -520,7 +596,9 @@ def _affine_problems(draw):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_scan_bitwise_equals_frozen_dense_scan(p, shape, seed):
     v = _increments(p, *shape, seed)
-    got, ref = euler_paths_batch(p, v), _dense_paths(p, v)
+    dense = len(_components(p)) == 1
+    got = euler_paths_batch(p, v)
+    ref = (_dense_paths if dense else _component_paths)(p, v)
     assert got.shape == ref.shape
     assert _equal_up_to_zero_sign(got, ref)
 
@@ -544,11 +622,33 @@ def test_chain_problem_fill_in(d):
     for i, (n, m) in enumerate(SCAN_SHAPES):
         v = _increments(p, n, m, 5000 + i)
         got = euler_paths_batch(p, v)
-        assert _same_bits(got, _dense_paths(p, v))
+        assert _same_bits(got, _component_paths(p, v))
         ref = _sequential_paths(p, v)
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1))
     # every row moves: the fill-in reaches row 0 through row 1
     assert np.all(got[:, -1] != p.x0)
+
+
+def test_scan_plan_runs_components_in_dependency_order():
+    # each strongly connected component of the one-step pattern comes after
+    # every one it reads; the maps compose no entry across components
+    cyclic = _problem_from(
+        "cyclic", np.array([[-0.2, 0.4, 0.0], [0.3, -0.1, 0.0],
+                            [0.5, 0.0, -0.3]]), np.zeros(3),
+        np.zeros((3, 1, 3)), np.array([[0.1], [0.0], [0.0]]),
+        np.ones(3))
+    apart = _problem_from("apart", np.diag([-0.2, 0.1]), np.zeros(2),
+                          np.zeros((2, 1, 2)), np.array([[0.0], [0.2]]),
+                          np.ones(2))
+    for p, comps, entries in [
+            (preset("gbm"), [[0]], 1), (preset("additive_noise"), [[0]], 2),
+            (preset("linear2d"), [[1], [0]], 4),
+            (_chain(1), [[2], [1], [0]], 6), (_chain(2), [[2], [1], [0]], 6),
+            (cyclic, [[0, 1], [2]], 8), (apart, [[0], [1]], 3)]:
+        plan = euler._scan_plan(p, 8)
+        assert [rows for rows, _, _ in plan] == comps, p.label
+        assert [list(c) for c in _components(p)] == comps, p.label
+        assert sum(len(maps) for _, maps, _ in plan) == entries, p.label
 
 
 def test_scan_zero_sign_and_nonfinite_differences():

@@ -94,6 +94,16 @@ def test_quantile_domain_errors():
             normal_quantile(bad)
 
 
+def test_quantile_refuses_nan():
+    # NaN used to pass the range check and come back as NaN; an empty u is
+    # still valid
+    for bad in (np.nan, [0.5, np.nan], np.array([[0.2], [np.nan]])):
+        with pytest.raises(ValueError, match="0 < u < 1"):
+            normal_quantile(bad)
+    assert normal_quantile(np.empty((0, 3))).shape == (0, 3)
+    assert normal_quantile([0.5, 0.75])[1] == normal_quantile(0.75)
+
+
 def test_scalar_input_gives_a_float():
     # q = 25 takes the quantile formula instead of the atom table
     for got, arr in ((normal_quantile(0.3), normal_quantile(np.array([0.3]))),
@@ -334,6 +344,19 @@ def test_depths_above_max_depth_raise():
     assert quantize_normal(8.0, MAX_DEPTH) == -quantize_normal(-8.0, MAX_DEPTH)
     with pytest.raises(ValueError, match="cells of depth 3"):
         quantize_normal(0.5, 5, cells=(np.int64(5), 3))
+
+
+def test_increment_depths_outside_1_to_max_depth_raise():
+    # at q = 60 the cells 2^59, 2^59 + 1 and 2^59 + 2 all gave the atom 0.0,
+    # and q = 53's top cell raised the quantile's own domain error
+    for q in (0, MAX_DEPTH + 1, 60):
+        with pytest.raises(ValueError, match=f"q = {q} is outside"):
+            quantized_increments(np.array([1 << max(q - 1, 0)]), q, 4)
+        with pytest.raises(ValueError, match=rf"q.*\b{q}\b"):
+            bit_increments(BitSource(0, 0), 4, q, 1, 2)
+    nums = np.array([0, 1 << 51, (1 << MAX_DEPTH) - 1])
+    assert np.array_equal(quantized_increments(nums, MAX_DEPTH, 1),
+                          normal_quantile((nums + 0.5) / 2.0 ** MAX_DEPTH))
 
 
 def test_cells_nest():
